@@ -14,7 +14,6 @@ module Runner = Ace_check.Runner
 module Prog = Ace_check.Prog
 module Repro = Ace_check.Repro
 module Faults = Ace_net.Faults
-module Machine = Ace_engine.Machine
 
 let usage () =
   prerr_endline
@@ -27,12 +26,8 @@ let usage () =
   --protocols CSV  protocols to test (default: all registered + CRL)
   --no-faults      drop the lossy-network cells from the grid
   --no-batch       drop the bulk-transfer batching cells from the grid
-  --out DIR        where to write .repro counterexamples (default .)
-  --engine E       seq (default) runs the conformance grid; par or par:N
-                   switches to the engine differential: every program runs
-                   under the sequential and the sharded parallel engine
-                   (same seed, FIFO, no faults) and final heaps, message
-                   counts and simulated times must be bit-identical
+  --out DIR        where to write .repro counterexamples (default .);
+                   must be an existing directory
   --replay FILE    re-run one .repro counterexample and exit
   --switch-heavy   pin the transition-torture shape: generic DRF programs
                    where most epochs end in a mid-run Ace_ChangeProtocol
@@ -53,7 +48,6 @@ type opts = {
   mutable faults : bool;
   mutable batch : bool;
   mutable out : string;
-  mutable engine : Machine.engine;
   mutable replay : string option;
   mutable switch_heavy : bool;
   mutable combinators : bool;
@@ -71,7 +65,6 @@ let parse_args () =
       faults = true;
       batch = true;
       out = ".";
-      engine = Machine.Seq_engine;
       replay = None;
       switch_heavy = false;
       combinators = false;
@@ -108,13 +101,6 @@ let parse_args () =
         go rest
     | "--out" :: v :: rest ->
         o.out <- v;
-        go rest
-    | "--engine" :: v :: rest ->
-        (match Machine.engine_of_string v with
-        | Ok e -> o.engine <- e
-        | Error m ->
-            prerr_endline ("acecheck: " ^ m);
-            usage ());
         go rest
     | "--replay" :: v :: rest ->
         o.replay <- Some v;
@@ -153,31 +139,6 @@ let describe (p, (fl : Runner.failure)) =
   Printf.printf "counterexample (%s):\n  %s\n%s"
     (Runner.cell_to_string fl.Runner.cell)
     fl.Runner.reason (Prog.to_string p)
-
-(* The engine differential: every generated program, sequential vs
-   parallel engine, all admissible protocols, batched and unbatched. *)
-let run_fuzz_engine o =
-  let batch_modes = if o.batch then [ false; true ] else [ false ] in
-  let shape = if o.switch_heavy then Some Prog.Switch_heavy else None in
-  let label = "engine-diff " ^ Machine.engine_to_string o.engine in
-  let report =
-    Runner.fuzz_engine ?protocols:o.protocols ?shape ?nprocs:o.nprocs
-      ~seed:o.seed ~count:o.fuzz ~engine:o.engine ~batch_modes
-      ~log:(fun m -> Printf.printf "[%s] %s\n%!" label m)
-      ()
-  in
-  match report.Runner.counterexample with
-  | None ->
-      Printf.printf "[%s] %d programs: par bit-identical to seq\n%!" label
-        report.Runner.programs;
-      true
-  | Some cex ->
-      let path = write_repro o cex in
-      Printf.printf "[%s] DIVERGED after %d programs\n" label
-        report.Runner.programs;
-      describe cex;
-      Printf.printf "  repro written to %s\n%!" path;
-      false
 
 let run_fuzz o ~protocols ~label ~expect_failure =
   let fault_specs = if o.faults then default_fault_specs else [] in
@@ -238,6 +199,14 @@ let run_combinators o =
 
 let () =
   let o = parse_args () in
+  (* A counterexample can take minutes to find and shrink: refuse a missing
+     output directory before the first program runs, not when the .repro
+     is written. *)
+  if o.replay = None && not (Sys.file_exists o.out && Sys.is_directory o.out)
+  then begin
+    Printf.eprintf "acecheck: --out %s: not an existing directory\n" o.out;
+    exit 2
+  end;
   match o.replay with
   | Some file -> (
       let r = Repro.read file in
@@ -248,7 +217,6 @@ let () =
              policy = r.Repro.policy;
              faults = r.Repro.faults;
              batch = r.Repro.batch;
-             engine = r.Repro.engine;
            });
       match Runner.replay r with
       | Some fl ->
@@ -257,8 +225,6 @@ let () =
       | None ->
           print_endline "no longer failing";
           exit 0)
-  | None when o.engine <> Machine.Seq_engine ->
-      exit (if run_fuzz_engine o then 0 else 1)
   | None when o.combinators -> exit (if run_combinators o then 0 else 1)
   | None ->
       let ok =

@@ -40,12 +40,6 @@ let space_of (ctx : ctx) (h : h) =
 
 (* Ace_GMalloc: allocate a region homed at the caller from [space]. *)
 let alloc (ctx : ctx) ~space ~len =
-  (* Region ids are global sequence numbers: allocation order must be the
-     sequential execution order, so it cannot run once the parallel
-     engine's shards have split (programs allocate during setup, which
-     runs before the split). *)
-  Machine.assert_seq_context ctx.Protocol.rt.Protocol.machine
-    "Ace_GMalloc after the parallel engine split";
   let sp = Runtime.space ctx.Protocol.rt space in
   let meta =
     Store.alloc ctx.Protocol.rt.Protocol.store ~home:(me ctx) ~len
@@ -194,10 +188,6 @@ let barrier (ctx : ctx) ~space =
    protocol); barriers separate detach, the swap, and attach so no node can
    race ahead with the new protocol while another still runs the old one. *)
 let change_protocol (ctx : ctx) ~space name =
-  (* The detach/attach storm is an order-dependent global operation; under
-     the parallel engine it forces the sequential fallback. *)
-  Machine.assert_seq_context ctx.Protocol.rt.Protocol.machine
-    "Ace_ChangeProtocol after the parallel engine split";
   let rt = ctx.Protocol.rt in
   let sp = Runtime.space rt space in
   let newp = Runtime.find_protocol rt name in
@@ -265,8 +255,6 @@ let adapt (ctx : ctx) ~space =
 (* Collective Ace_NewSpace for SPMD program text (Fig. 2 lines 2-3): the
    k-th collective call on every node denotes the same space. *)
 let new_space (ctx : ctx) proto_name =
-  Machine.assert_seq_context ctx.Protocol.rt.Protocol.machine
-    "Ace_NewSpace after the parallel engine split";
   let k = ctx.Protocol.space_ctr in
   ctx.Protocol.space_ctr <- k + 1;
   let rt = ctx.Protocol.rt in

@@ -5,7 +5,6 @@
    the program body is Prog's textual form. *)
 
 module Event_queue = Ace_engine.Event_queue
-module Machine = Ace_engine.Machine
 module Faults = Ace_net.Faults
 
 type t = {
@@ -13,9 +12,6 @@ type t = {
   policy : Event_queue.policy;
   faults : Faults.spec option;
   batch : bool;
-  engine : Machine.engine;
-      (* [Par_engine n] marks an engine-differential counterexample:
-         replay re-runs seq-vs-par rather than cell-vs-reference *)
   reason : string;
   prog : Prog.t;
 }
@@ -41,7 +37,6 @@ let to_string r =
       "policy " ^ Event_queue.policy_to_string r.policy;
       "faults " ^ faults_to_string r.faults;
       "batch " ^ string_of_bool r.batch;
-      "engine " ^ Machine.engine_to_string r.engine;
       "reason " ^ String.map (fun c -> if c = '\n' then ';' else c) r.reason;
       Prog.to_string r.prog;
     ]
@@ -64,6 +59,15 @@ let of_string s =
             Buffer.add_char body '\n'
           end)
     lines;
+  (* Files written while the simulator had a parallel engine carry an
+     [engine] line: "seq" replays as before, "par" or "par:N" named a run
+     loop that no longer exists. *)
+  (match Hashtbl.find_opt header "engine" with
+  | None | Some "seq" -> ()
+  | Some e when String.starts_with ~prefix:"par" e ->
+      invalid_arg
+        ("Repro.of_string: parallel engine removed (engine " ^ e ^ ")")
+  | Some e -> invalid_arg ("Repro.of_string: unknown engine " ^ e));
   let get k =
     match Hashtbl.find_opt header k with
     | Some v -> v
@@ -74,14 +78,6 @@ let of_string s =
     policy = Event_queue.policy_of_string (get "policy");
     faults = faults_of_string (get "faults");
     batch = bool_of_string (get "batch");
-    engine =
-      (* absent in pre-engine .repro files: they are sequential *)
-      (match Hashtbl.find_opt header "engine" with
-      | None -> Machine.Seq_engine
-      | Some s -> (
-          match Machine.engine_of_string s with
-          | Ok e -> e
-          | Error m -> invalid_arg ("Repro.of_string: " ^ m)));
     reason = (match Hashtbl.find_opt header "reason" with Some r -> r | None -> "");
     prog = Prog.of_string (Buffer.contents body);
   }

@@ -29,10 +29,8 @@ type t = {
   alloc_seq : (int * int, int ref) Hashtbl.t;
 }
 
-let create ?(cost = Cost_model.cm5_crl) ?policy ?engine ~nprocs () =
-  let machine = Machine.create ?policy ?engine ~nprocs () in
-  Machine.set_lookahead machine
-    (Cost_model.transit cost ~bytes:0 +. cost.Cost_model.am_recv_overhead);
+let create ?(cost = Cost_model.cm5_crl) ?policy ~nprocs () =
+  let machine = Machine.create ?policy ~nprocs () in
   let am = Ace_net.Am.create machine cost in
   {
     machine;
@@ -77,10 +75,6 @@ let charge ctx c = Machine.advance ctx.proc c
 (* rgn_create: CRL regions are homed at their creator; [space] is ignored
    (CRL has no spaces). *)
 let alloc ctx ~space ~len =
-  (* Region ids are global sequence numbers; allocation must stay in the
-     sequential setup phase under the parallel engine (cf. Ops.alloc). *)
-  Machine.assert_seq_context ctx.sys.machine
-    "rgn_create after the parallel engine split";
   let meta = Store.alloc ctx.sys.store ~home:(me ctx) ~len ~space:(-1) in
   let sys = ctx.sys in
   let seq =

@@ -1,64 +1,3 @@
-(* The simulated machine: N processors as cooperative fibers over a
-   discrete-event loop.
-
-   Two engines share this module:
-
-   - [Seq_engine] (the default): one event queue, drained in (time, order)
-     order on the calling domain. This is the historical engine; its hot
-     paths are untouched by the parallel work below.
-
-   - [Par_engine n]: a conservative parallel discrete-event engine
-     (Chandy–Misra–Bryant style). Processors are partitioned into [n]
-     shards, each with its own event queue running on its own OCaml domain.
-     All shards advance window-by-window to a safe horizon [W + L], where
-     [W] is the global minimum pending timestamp and [L] the lookahead —
-     the minimum cross-processor wire latency (see [set_lookahead]): a
-     message sent by an event executing inside the window is delivered at
-     or beyond the horizon, so within one window shards only interact
-     through the explicitly synchronized channels below (outboxes for
-     zero-latency cross-shard work, buffered barrier arrivals), all drained
-     serially between rounds.
-
-     Simulated output is bit-identical to the sequential engine. The
-     sequential tie-break is global push order; push order is exactly
-     lexicographic (execution position of the pushing event, push index),
-     so events here carry orders of that form (Pdes.Order), with execution
-     ranks assigned in global key order when a window closes — after which
-     no event below the horizon remains anywhere, so the window's key order
-     is final. Anything that would break the equivalence — a delivery
-     landing behind its processor's execution front, an order-dependent
-     global operation after the shards have split — raises [Par_violation]
-     / [Par_unsupported]; the driver catches either and reruns the
-     simulation sequentially, so the parallel engine can change wall-clock
-     time but never results. *)
-
-type engine = Seq_engine | Par_engine of int
-
-exception Par_violation of string
-exception Par_unsupported of string
-
-(* Map either fallback exception to a human-readable reason. *)
-(* The CLI/env/.repro spelling of an engine choice: "seq", "par" (one
-   shard per recommended domain), or "par:N". *)
-let engine_to_string = function
-  | Seq_engine -> "seq"
-  | Par_engine n -> Printf.sprintf "par:%d" n
-
-let engine_of_string s =
-  let s = String.lowercase_ascii (String.trim s) in
-  if s = "seq" then Ok Seq_engine
-  else if s = "par" then Ok (Par_engine (Domain.recommended_domain_count ()))
-  else if String.length s > 4 && String.sub s 0 4 = "par:" then
-    match int_of_string_opt (String.sub s 4 (String.length s - 4)) with
-    | Some n when n >= 1 -> Ok (Par_engine n)
-    | Some _ | None -> Error (Printf.sprintf "bad shard count in %S" s)
-  else Error (Printf.sprintf "unknown engine %S (want seq, par, or par:N)" s)
-
-let par_fallback_reason = function
-  | Par_violation m -> Some ("violation: " ^ m)
-  | Par_unsupported m -> Some ("unsupported: " ^ m)
-  | _ -> None
-
 type t = {
   nprocs : int;
   events : Event_queue.t;
@@ -70,238 +9,32 @@ type t = {
          point down to a single field read *)
   mutable crit : Crit.t option;
       (* causal-DAG recorder, same contract: None = one field read *)
-  mutable mode : mode;
-}
-
-and mode = Mseq | Mpar of par
-
-and par = {
-  nshards : int;
-  mutable lookahead : float; (* cycles; min cross-processor wire latency *)
-  shards : shard array;
-  shard_of : int array; (* proc id -> shard index *)
-  mutable rank_ctr : int;
-  mutable par_active : bool; (* false during the sequential warmup phase *)
-  last_ord : Pdes.Order.t array; (* per proc: order of last executed event *)
-  last_time : float array; (* per proc: time of last executed event *)
-  mutable horizon : float;
-  mutable wbase : float; (* current window's base time W *)
-  mutable barriers : barrier_state list; (* all barriers on this machine *)
-}
-
-and shard = {
-  six : int;
-  q : Pdes.Pq.t;
-  pop : Pdes.Pq.popped;
-  sstats : Stats.t;
-  mutable cur_ord : Pdes.Order.t; (* key order of the executing event *)
-  mutable cur_parent : Pdes.Order.t; (* order its pushes descend from *)
-  mutable cur_idx : int; (* next push index *)
-  mutable cur_owner : int;
-  mutable in_event : bool;
-  mutable log : Pdes.Order.t array; (* rank-bearing events, this window *)
-  mutable log_t : float array; (* their execution times, for the rank sort *)
-  mutable log_n : int;
-  mutable obox : obox list; (* cross-shard pushes, delivered serially *)
-  mutable arrivals : bwaiter list; (* barrier arrivals, merged serially *)
-  mutable live_delta : int;
-  mutable smax_clock : float;
-  mutable failure : exn option;
-  (* worker handshake *)
-  wm : Mutex.t;
-  wcv : Condition.t;
-  mutable wcmd : wcmd;
-}
-
-and wcmd = W_idle | W_go | W_done | W_stop
-
-and obox = {
-  ob_time : float;
-  ob_ord : Pdes.Order.t;
-  ob_owner : int;
-  ob_parent : Pdes.Order.t;
-  ob_base : int;
-  ob_thunk : unit -> unit;
-}
-
-and barrier_state = {
-  bowner : t;
-  bcost : int -> float;
-  mutable arrived : int;
-  mutable latest : float;
-  mutable gen : unit Ivar.t;
-  mutable gen_no : int; (* generation counter, for trace labelling *)
-  mutable cjoin : int;
-      (* causal join of this generation's arrivals so far (-1 = none):
-         the release node depends on ALL arrivals, so a what-if replay
-         can re-decide which processor arrives last *)
-  mutable waiters : bwaiter list; (* par mode: this generation's arrivals *)
-}
-
-and bwaiter = {
-  w_b : barrier_state;
-  w_proc : proc;
-  w_ord : Pdes.Order.t; (* key order of the arrival event *)
-  w_time : float;
-      (* the arrival event's scheduled time: arrivals registered in
-         sequential execution order = (w_time, w_ord) lexicographic —
-         w_ord alone only orders events at equal times *)
-  w_idx : int; (* the arrival event's push counter at suspension *)
-  w_clock : float; (* processor clock at suspension (>= w_time) *)
-  w_k : (unit, unit) Effect.Deep.continuation;
 }
 
 and proc = { id : int; mutable clock : float; machine : t }
 
 type _ Effect.t += Advance : proc * float -> unit Effect.t
 type _ Effect.t += Await : proc * 'a Ivar.t -> 'a Effect.t
-type _ Effect.t += Par_wait : barrier_state * proc -> unit Effect.t
 
-(* The executing shard, for the machine whose run loop owns this domain.
-   Rebound per run and compared against the machine on every lookup, so a
-   simulation nested under another machine's pool worker never sees a
-   stale binding. *)
-let shard_dls : (t * shard) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let current_shard t =
-  match !(Domain.DLS.get shard_dls) with
-  | Some (m, s) when m == t -> Some s
-  | _ -> None
-
-let mk_shard six =
+let create ?policy ~nprocs () =
+  if nprocs <= 0 then invalid_arg "Machine.create: nprocs <= 0";
   {
-    six;
-    q = Pdes.Pq.create ();
-    pop = Pdes.Pq.make_popped ();
-    sstats = Stats.create ();
-    cur_ord = Pdes.Order.dummy;
-    cur_parent = Pdes.Order.dummy;
-    cur_idx = 0;
-    cur_owner = 0;
-    in_event = false;
-    log = Array.make 256 Pdes.Order.dummy;
-    log_t = Array.make 256 0.;
-    log_n = 0;
-    obox = [];
-    arrivals = [];
-    live_delta = 0;
-    smax_clock = 0.;
-    failure = None;
-    wm = Mutex.create ();
-    wcv = Condition.create ();
-    wcmd = W_idle;
+    nprocs;
+    events = Event_queue.create ?policy ();
+    stats = Stats.create ();
+    live = 0;
+    max_clock = 0.;
+    trace = None;
+    crit = None;
   }
 
-let create ?policy ?(engine = Seq_engine) ~nprocs () =
-  if nprocs <= 0 then invalid_arg "Machine.create: nprocs <= 0";
-  let t =
-    {
-      nprocs;
-      events = Event_queue.create ?policy ();
-      stats = Stats.create ();
-      live = 0;
-      max_clock = 0.;
-      trace = None;
-      crit = None;
-      mode = Mseq;
-    }
-  in
-  (match engine with
-  | Seq_engine -> ()
-  | Par_engine n ->
-      if n <= 0 then invalid_arg "Machine.create: shards <= 0";
-      (match Event_queue.policy t.events with
-      | Event_queue.Fifo -> ()
-      | _ ->
-          raise
-            (Par_unsupported
-               "parallel engine requires the Fifo tie-break policy"));
-      let nshards = min n nprocs in
-      let per = (nprocs + nshards - 1) / nshards in
-      t.mode <-
-        Mpar
-          {
-            nshards;
-            lookahead = 0.;
-            shards = Array.init nshards mk_shard;
-            shard_of = Array.init nprocs (fun p -> p / per);
-            rank_ctr = 0;
-            par_active = false;
-            last_ord = Array.make nprocs Pdes.Order.dummy;
-            last_time = Array.make nprocs neg_infinity;
-            horizon = 0.;
-            wbase = 0.;
-            barriers = [];
-          });
-  t
-
 let nprocs t = t.nprocs
-
-let engine t =
-  match t.mode with Mseq -> Seq_engine | Mpar pp -> Par_engine pp.nshards
-
-let nshards t = match t.mode with Mseq -> 1 | Mpar pp -> pp.nshards
-
-let shard_ix t =
-  match t.mode with
-  | Mseq -> 0
-  | Mpar _ -> ( match current_shard t with Some s -> s.six | None -> 0)
-
-(* Shard-local stats while a parallel run is executing (merged into the
-   root instance at the end of the run); the root instance otherwise. *)
-let stats t =
-  match t.mode with
-  | Mseq -> t.stats
-  | Mpar _ -> (
-      match current_shard t with Some s -> s.sstats | None -> t.stats)
-
-let root_stats t = t.stats
+let stats t = t.stats
 let policy t = Event_queue.policy t.events
 let set_trace t tr = t.trace <- tr
 let trace t = t.trace
-
-let set_crit t c =
-  (match (t.mode, c) with
-  | Mpar _, Some _ ->
-      raise (Par_unsupported "critical-path recording requires --engine seq")
-  | _ -> ());
-  t.crit <- c
-
+let set_crit t c = t.crit <- c
 let crit t = t.crit
-
-let set_lookahead t cycles =
-  match t.mode with
-  | Mseq -> ()
-  | Mpar pp -> pp.lookahead <- max 0. cycles
-
-(* Order-dependent global operations (region allocation, space creation,
-   protocol changes) are only deterministic when events execute one at a
-   time; callers invoke this to force the sequential fallback if one is
-   reached after the shards have split. *)
-let assert_seq_context t what =
-  match t.mode with
-  | Mpar pp when pp.par_active -> raise (Par_unsupported what)
-  | _ -> ()
-
-(* ---- parallel push path ---- *)
-
-let par_push pp s ~time ~owner thunk =
-  let idx = s.cur_idx in
-  s.cur_idx <- idx + 1;
-  let ord = Pdes.Order.child s.cur_parent ~idx in
-  if pp.par_active && pp.shard_of.(owner) <> s.six then
-    s.obox <-
-      {
-        ob_time = time;
-        ob_ord = ord;
-        ob_owner = owner;
-        ob_parent = ord;
-        ob_base = 0;
-        ob_thunk = thunk;
-      }
-      :: s.obox
-  else Pdes.Pq.push s.q ~time ~ord ~owner ~parent:ord ~base:0 thunk
 
 (* When a recorder is attached, every queued thunk carries the causal
    context it was created in, restored just before it runs — so the DAG
@@ -315,53 +48,10 @@ let schedule_cause t ~time ~cause f =
           Crit.set_cur c cause;
           f ())
 
-let schedule ?owner t ~time f =
-  match t.mode with
-  | Mseq -> (
-      match t.crit with
-      | None -> Event_queue.push t.events ~time f
-      | Some c -> schedule_cause t ~time ~cause:(Crit.export_cur c) f)
-  | Mpar pp -> (
-      match current_shard t with
-      | Some s when s.in_event ->
-          let owner = match owner with Some o -> o | None -> s.cur_owner in
-          par_push pp s ~time ~owner f
-      | _ -> raise (Par_unsupported "schedule outside an event"))
-
-(* [run_at t ~owner ~time f] runs [f] — simulated work belonging to
-   processor [owner] at time [time] — from inside another processor's
-   event. Sequentially (and within a shard) it is exactly an inline call,
-   preserving the historical engine's behaviour bit for bit. Across shards
-   it becomes a continuation event on [owner]'s shard: [f]'s pushes inherit
-   the calling event's order and push counter, so they tie-break exactly as
-   the sequential inline call would have. The call must be in tail position
-   within its event (nothing may be pushed after it), and [f] must only
-   touch [owner]'s state. If [owner]'s shard has already executed past the
-   call's position, the delivery is a causality violation and the run falls
-   back to the sequential engine. *)
-let run_at t ~owner ~time f =
-  match t.mode with
-  | Mseq -> f ()
-  | Mpar pp -> (
-      match current_shard t with
-      | Some s when s.in_event ->
-          if (not pp.par_active) || pp.shard_of.(owner) = s.six then f ()
-          else begin
-            let idx = s.cur_idx in
-            s.cur_idx <- idx + 1;
-            let ord = Pdes.Order.child s.cur_parent ~idx in
-            s.obox <-
-              {
-                ob_time = time;
-                ob_ord = ord;
-                ob_owner = owner;
-                ob_parent = s.cur_parent;
-                ob_base = idx + 1;
-                ob_thunk = f;
-              }
-              :: s.obox
-          end
-      | _ -> raise (Par_unsupported "run_at outside an event"))
+let schedule t ~time f =
+  match t.crit with
+  | None -> Event_queue.push t.events ~time f
+  | Some c -> schedule_cause t ~time ~cause:(Crit.export_cur c) f
 
 let advance p cycles =
   if cycles < 0. || not (Float.is_finite cycles) then
@@ -382,28 +72,13 @@ let await p iv = Effect.perform (Await (p, iv))
 
 (* Run one fiber under a deep handler. The handler turns Advance into a
    rescheduled resumption (so processors interleave in timestamp order) and
-   Await into an ivar waiter. The parallel branches differ only in where
-   the resumption is pushed (the owner's shard, with an order descending
-   from the current event); the sequential branches are the historical code
-   unchanged. *)
+   Await into an ivar waiter. *)
 let spawn_fiber t (body : unit -> unit) =
   let open Effect.Deep in
-  (match t.mode with
-  | Mseq -> t.live <- t.live + 1
-  | Mpar _ -> (
-      match current_shard t with
-      | Some s -> s.live_delta <- s.live_delta + 1
-      | None -> t.live <- t.live + 1));
+  t.live <- t.live + 1;
   match_with body ()
     {
-      retc =
-        (fun () ->
-          match t.mode with
-          | Mseq -> t.live <- t.live - 1
-          | Mpar _ -> (
-              match current_shard t with
-              | Some s -> s.live_delta <- s.live_delta - 1
-              | None -> t.live <- t.live - 1));
+      retc = (fun () -> t.live <- t.live - 1);
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) ->
@@ -412,21 +87,15 @@ let spawn_fiber t (body : unit -> unit) =
               Some
                 (fun (k : (a, unit) continuation) ->
                   p.clock <- p.clock +. cycles;
-                  match t.mode with
-                  | Mseq -> (
-                      match t.crit with
-                      | None ->
-                          Event_queue.push t.events ~time:p.clock (fun () ->
-                              continue k ())
-                      | Some c ->
-                          Crit.advance c ~proc:p.id ~time:p.clock ~cycles;
-                          let cause = Crit.head c p.id in
-                          Event_queue.push t.events ~time:p.clock (fun () ->
-                              Crit.set_cur c cause;
-                              continue k ()))
-                  | Mpar pp ->
-                      let s = Option.get (current_shard t) in
-                      par_push pp s ~time:p.clock ~owner:p.id (fun () ->
+                  match t.crit with
+                  | None ->
+                      Event_queue.push t.events ~time:p.clock (fun () ->
+                          continue k ())
+                  | Some c ->
+                      Crit.advance c ~proc:p.id ~time:p.clock ~cycles;
+                      let cause = Crit.head c p.id in
+                      Event_queue.push t.events ~time:p.clock (fun () ->
+                          Crit.set_cur c cause;
                           continue k ()))
           | Await (p, iv) ->
               Some
@@ -447,84 +116,30 @@ let spawn_fiber t (body : unit -> unit) =
                       | Some _ | None -> ());
                       if time > p.clock then p.clock <- time;
                       continue k v
-                  | None -> (
+                  | None ->
                       (* This callback runs synchronously inside Ivar.fill,
-                         i.e. in the *filler's* causal context — exactly
-                         the fill→wakeup edge. In the parallel engine the
-                         filler may be on another shard: the resumption
-                         then goes through the filler's outbox as a child
-                         of the filling event, which is exactly where the
-                         sequential engine's push counter would have put
-                         it. *)
-                      match t.mode with
-                      | Mseq ->
-                          Ivar.on_fill iv (fun ~time v ->
-                              if time > p.clock then p.clock <- time;
-                              match t.crit with
-                              | None ->
-                                  Event_queue.push t.events ~time:p.clock
-                                    (fun () -> continue k v)
-                              | Some c ->
-                                  let n =
-                                    Crit.wake c ~proc:p.id
-                                      ~cause:(Crit.cur c) ~time:p.clock
-                                  in
-                                  Event_queue.push t.events ~time:p.clock
-                                    (fun () ->
-                                      Crit.set_cur c n;
-                                      continue k v))
-                      | Mpar pp ->
-                          Ivar.on_fill iv (fun ~time v ->
-                              if time > p.clock then p.clock <- time;
-                              let s = Option.get (current_shard t) in
-                              par_push pp s ~time:p.clock ~owner:p.id
-                                (fun () -> continue k v))))
-          | Par_wait (b, p) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  (* Buffer the arrival on the executing shard; the
-                     coordinator merges arrivals and releases complete
-                     generations between rounds. No shared state is
-                     touched here. *)
-                  let s = Option.get (current_shard t) in
-                  let w_time =
-                    match t.mode with
-                    | Mpar pp -> pp.last_time.(p.id)
-                    | Mseq -> p.clock
-                  in
-                  s.arrivals <-
-                    {
-                      w_b = b;
-                      w_proc = p;
-                      w_ord = s.cur_ord;
-                      w_time;
-                      w_idx = s.cur_idx;
-                      w_clock = p.clock;
-                      w_k = k;
-                    }
-                    :: s.arrivals)
+                         i.e. in the *filler's* causal context — exactly the
+                         fill→wakeup edge. *)
+                      Ivar.on_fill iv (fun ~time v ->
+                          if time > p.clock then p.clock <- time;
+                          match t.crit with
+                          | None ->
+                              Event_queue.push t.events ~time:p.clock
+                                (fun () -> continue k v)
+                          | Some c ->
+                              let n =
+                                Crit.wake c ~proc:p.id ~cause:(Crit.cur c)
+                                  ~time:p.clock
+                              in
+                              Event_queue.push t.events ~time:p.clock
+                                (fun () ->
+                                  Crit.set_cur c n;
+                                  continue k v)))
           | _ -> None);
     }
 
-(* ---- sequential run loop (the historical engine, unchanged) ---- *)
-
-let deadlock_report t procs finished =
-  let blocked =
-    Array.to_list procs
-    |> List.filter (fun p -> not finished.(p.id))
-    |> List.map (fun p -> Printf.sprintf "P%d@%.0f" p.id p.clock)
-  in
-  failwith
-    (Printf.sprintf
-       "Machine.run: deadlock: %d fiber(s) blocked forever with no \
-        pending events (last event at t=%.0f); blocked processors: %s"
-       t.live t.max_clock
-       (String.concat ", " blocked))
-
-let run_seq t program =
-  let procs =
-    Array.init t.nprocs (fun id -> { id; clock = t.max_clock; machine = t })
-  in
+let run t program =
+  let procs = Array.init t.nprocs (fun id -> { id; clock = t.max_clock; machine = t }) in
   let finished = Array.make t.nprocs false in
   let spawn p () =
     spawn_fiber t (fun () ->
@@ -540,9 +155,8 @@ let run_seq t program =
       (* Successive phases start at the global max clock: every root
          depends on the join of all previous chain heads. *)
       let gj =
-        Array.fold_left
-          (fun acc p -> Crit.join c acc (Crit.head c p.id))
-          (-1) procs
+        Array.fold_left (fun acc p -> Crit.join c acc (Crit.head c p.id)) (-1)
+          procs
       in
       Array.iter
         (fun p ->
@@ -559,450 +173,24 @@ let run_seq t program =
       Event_queue.drain t.events (fun time thunk ->
           if time > t.max_clock then t.max_clock <- time;
           thunk ()));
-  if t.live > 0 then deadlock_report t procs finished;
-  Array.iter
-    (fun p -> if p.clock > t.max_clock then t.max_clock <- p.clock)
-    procs
-
-(* ---- parallel run loop ---- *)
-
-(* Is (time, ord) at or behind processor [owner]'s execution front? The
-   front is the (time, key) of the owner's last executed event; the
-   sequential engine pops in exactly that lexicographic order, so an
-   arrival at or behind the front could never happen sequentially. *)
-let behind_front pp ~owner ~time ~ord =
-  let last = pp.last_ord.(owner) in
-  last != Pdes.Order.dummy
-  && (time < pp.last_time.(owner)
-     || (time = pp.last_time.(owner) && Pdes.Order.compare ord last <= 0))
-
-(* Execute one shard's events up to the window horizon. Events exactly at
-   the window base are always eligible, even with zero lookahead:
-   same-timestamp events on different shards cannot affect each other
-   below the wire latency, and zero-latency channels go through outboxes
-   with causality checks. *)
-let shard_round pp s ~wbase ~horizon =
-  let q = s.q in
-  let eligible () =
-    s.failure = None
-    &&
-    let mt = Pdes.Pq.min_time q in
-    mt < horizon || mt = wbase
-  in
-  while eligible () && Pdes.Pq.pop_min q s.pop do
-    let time = s.pop.p_time in
-    let ord = s.pop.p_ord in
-    let owner = s.pop.p_owner in
-    if behind_front pp ~owner ~time ~ord then
-      s.failure <-
-        Some
-          (Par_violation
-             (Printf.sprintf "event behind processor %d's front" owner))
-    else begin
-      if time > s.smax_clock then s.smax_clock <- time;
-      pp.last_ord.(owner) <- ord;
-      pp.last_time.(owner) <- time;
-      s.cur_ord <- ord;
-      s.cur_parent <- s.pop.p_parent;
-      s.cur_idx <- s.pop.p_base;
-      s.cur_owner <- owner;
-      s.in_event <- true;
-      (* rank-bearing events (their own order parents their pushes) are
-         logged for ranking at the window close *)
-      if s.pop.p_parent == ord then begin
-        if s.log_n = Array.length s.log then begin
-          let a = Array.make (2 * s.log_n) Pdes.Order.dummy in
-          Array.blit s.log 0 a 0 s.log_n;
-          s.log <- a;
-          let b = Array.make (2 * s.log_n) 0. in
-          Array.blit s.log_t 0 b 0 s.log_n;
-          s.log_t <- b
-        end;
-        s.log.(s.log_n) <- ord;
-        s.log_t.(s.log_n) <- time;
-        s.log_n <- s.log_n + 1
-      end;
-      (try s.pop.p_thunk ()
-       with e -> if s.failure = None then s.failure <- Some e);
-      s.in_event <- false
-    end
-  done
-
-let worker_loop t pp s =
-  Domain.DLS.get shard_dls := Some (t, s);
-  let rec loop () =
-    Mutex.lock s.wm;
-    while s.wcmd = W_idle || s.wcmd = W_done do
-      Condition.wait s.wcv s.wm
-    done;
-    let cmd = s.wcmd in
-    Mutex.unlock s.wm;
-    match cmd with
-    | W_stop -> ()
-    | W_go ->
-        shard_round pp s ~wbase:pp.wbase ~horizon:pp.horizon;
-        Mutex.lock s.wm;
-        s.wcmd <- W_done;
-        Condition.signal s.wcv;
-        Mutex.unlock s.wm;
-        loop ()
-    | W_idle | W_done -> loop ()
-  in
-  loop ()
-
-(* ---- serial phases, run on the coordinating domain between rounds ---- *)
-
-(* Move buffered cross-shard pushes into their target shards' queues.
-   Returns whether anything landed below the horizon (= the window needs
-   another round). *)
-let deliver_obox pp =
-  let hot = ref false in
-  Array.iter
-    (fun s ->
-      match s.obox with
-      | [] -> ()
-      | items ->
-          s.obox <- [];
-          List.iter
-            (fun ob ->
-              if
-                behind_front pp ~owner:ob.ob_owner ~time:ob.ob_time
-                  ~ord:ob.ob_ord
-              then
-                raise
-                  (Par_violation
-                     (Printf.sprintf
-                        "cross-shard delivery behind processor %d's front"
-                        ob.ob_owner));
-              if ob.ob_time < pp.horizon then hot := true;
-              let dst = pp.shards.(pp.shard_of.(ob.ob_owner)) in
-              Pdes.Pq.push dst.q ~time:ob.ob_time ~ord:ob.ob_ord
-                ~owner:ob.ob_owner ~parent:ob.ob_parent ~base:ob.ob_base
-                ob.ob_thunk)
-            (List.rev items))
-    pp.shards;
-  !hot
-
-(* Fold buffered barrier arrivals into their barrier states. *)
-let merge_arrivals pp =
-  Array.iter
-    (fun s ->
-      match s.arrivals with
-      | [] -> ()
-      | ws ->
-          s.arrivals <- [];
-          List.iter
-            (fun (w : bwaiter) ->
-              let b = w.w_b in
-              b.arrived <- b.arrived + 1;
-              if w.w_clock > b.latest then b.latest <- w.w_clock;
-              b.waiters <- w :: b.waiters)
-            ws)
-    pp.shards
-
-(* Release every barrier whose generation is complete, replicating the
-   sequential release exactly. Sequentially the last arrival fills the
-   generation ivar inside its own event: the other waiters' resumptions
-   are pushed there in registration order, and the last arriver continues
-   inline, its later pushes following theirs. Registration order is the
-   arrival events' execution order — (time, key) lexicographic, since key
-   order alone only ranks events at equal times. Here the last arrival
-   becomes a continuation event inheriting its order and push counter,
-   and the other waiters' resumptions take the next push indexes in
-   registration order. Returns whether anything was released (wakeups
-   land inside the current window's rounds). *)
-let release_ready t pp =
-  let released = ref false in
-  List.iter
-    (fun b ->
-      if b.arrived = t.nprocs && b.waiters <> [] then begin
-        released := true;
-        let release = b.latest +. b.bcost t.nprocs in
-        let ws =
-          List.sort
-            (fun (a : bwaiter) b ->
-              let c = Float.compare a.w_time b.w_time in
-              if c <> 0 then c else Pdes.Order.compare a.w_ord b.w_ord)
-            b.waiters
-        in
-        b.arrived <- 0;
-        b.latest <- 0.;
-        b.waiters <- [];
-        b.gen <- Ivar.create ();
-        b.gen_no <- b.gen_no + 1;
-        let n = List.length ws in
-        let last = List.nth ws (n - 1) in
-        let base = last.w_idx in
-        let push_wakeup ~ord ~parent ~pbase (w : bwaiter) =
-          let p = w.w_proc in
-          let dst =
-            if pp.par_active then pp.shards.(pp.shard_of.(p.id))
-            else pp.shards.(0)
-          in
-          Pdes.Pq.push dst.q ~time:release ~ord ~owner:p.id ~parent
-            ~base:pbase (fun () ->
-              if release > p.clock then p.clock <- release;
-              Effect.Deep.continue w.w_k ())
-        in
-        push_wakeup
-          ~ord:(Pdes.Order.child last.w_ord ~idx:base)
-          ~parent:last.w_ord ~pbase:(base + n) last;
-        List.iteri
-          (fun i w ->
-            if i < n - 1 then begin
-              let ord = Pdes.Order.child last.w_ord ~idx:(base + 1 + i) in
-              push_wakeup ~ord ~parent:ord ~pbase:0 w
-            end)
-          ws
-      end)
-    pp.barriers;
-  !released
-
-(* Close the window: sort its rank-bearing events by (time, order) — the
-   sequential engine's pop order — and assign execution ranks in that
-   order, resolving the keys their pushes' orders are built from. Time is
-   the major sort key: the order comparator alone only reproduces the
-   sequential tie-break between events at equal times (its
-   resolved-before-unresolved rule is justified by pending ranks
-   exceeding assigned ones, which says nothing about events at different
-   times). Sound because the window only closes once no event below the
-   horizon remains anywhere — the window's (time, order) sequence is
-   final and every later event sorts greater. *)
-let rank_window pp =
-  let total = Array.fold_left (fun a s -> a + s.log_n) 0 pp.shards in
-  if total > 0 then begin
-    let all = Array.make total (0., Pdes.Order.dummy) in
-    let off = ref 0 in
-    Array.iter
-      (fun s ->
-        for i = 0 to s.log_n - 1 do
-          all.(!off + i) <- (s.log_t.(i), s.log.(i))
-        done;
-        off := !off + s.log_n;
-        s.log_n <- 0)
-      pp.shards;
-    Array.sort
-      (fun (ta, oa) (tb, ob) ->
-        let c = Float.compare ta tb in
-        if c <> 0 then c else Pdes.Order.compare oa ob)
-      all;
-    Array.iter
-      (fun ((_, o) : float * Pdes.Order.t) ->
-        o.Pdes.Order.rank <- pp.rank_ctr;
-        pp.rank_ctr <- pp.rank_ctr + 1)
-      all
-  end
-
-let global_min pp =
-  Array.fold_left
-    (fun a s -> Float.min a (Pdes.Pq.min_time s.q))
-    infinity pp.shards
-
-let merge_live t pp =
-  Array.iter
-    (fun s ->
-      t.live <- t.live + s.live_delta;
-      s.live_delta <- 0)
-    pp.shards
-
-let check_failures pp =
-  Array.iter
-    (fun s -> match s.failure with Some e -> raise e | None -> ())
-    pp.shards
-
-let run_par t pp program =
-  if t.crit <> None then
-    raise (Par_unsupported "critical-path recording requires --engine seq");
-  let procs =
-    Array.init t.nprocs (fun id -> { id; clock = t.max_clock; machine = t })
-  in
-  let finished = Array.make t.nprocs false in
-  let s0 = pp.shards.(0) in
-  let dls = Domain.DLS.get shard_dls in
-  let saved_dls = !dls in
-  dls := Some (t, s0);
-  (match t.trace with
-  | None -> ()
-  | Some tr ->
-      Trace.set_par tr
-        (Some
-           (fun () ->
-             match current_shard t with
-             | Some s when s.in_event ->
-                 let idx = s.cur_idx in
-                 s.cur_idx <- idx + 1;
-                 (s.cur_parent, idx)
-             | _ -> (Pdes.Order.dummy, -1))));
-  (* Initial spawns: root orders in processor order — the sequential
-     engine's spawn push order. Key space [rank_ctr, rank_ctr + nprocs) is
-     reserved for them; execution ranks continue above it. *)
-  Array.iter
-    (fun p ->
-      let ord = Pdes.Order.root ~rank:(pp.rank_ctr + p.id) in
-      Pdes.Pq.push s0.q ~time:p.clock ~ord ~owner:p.id ~parent:ord ~base:0
-        (fun () ->
-          spawn_fiber t (fun () ->
-              program p;
-              finished.(p.id) <- true)))
-    procs;
-  pp.rank_ctr <- pp.rank_ctr + t.nprocs;
-
-  let workers = ref [||] in
-  let stop_workers () =
-    Array.iter
-      (fun (s : shard) ->
-        Mutex.lock s.wm;
-        s.wcmd <- W_stop;
-        Condition.signal s.wcv;
-        Mutex.unlock s.wm)
-      (Array.sub pp.shards 1 (pp.nshards - 1));
-    Array.iter Domain.join !workers;
-    workers := [||]
-  in
-  let finish_run () =
-    if Array.length !workers > 0 then stop_workers ();
-    merge_live t pp;
-    Array.iter
-      (fun s ->
-        if s.smax_clock > t.max_clock then t.max_clock <- s.smax_clock;
-        Stats.merge_into t.stats s.sstats;
-        Stats.reset s.sstats;
-        s.smax_clock <- 0.;
-        s.log_n <- 0;
-        s.obox <- [];
-        s.arrivals <- [];
-        s.failure <- None)
-      pp.shards;
-    pp.par_active <- false;
-    (match t.trace with None -> () | Some tr -> Trace.set_par tr None);
-    dls := saved_dls
-  in
-  Fun.protect ~finally:finish_run (fun () ->
-      (* ---- warmup: all shards merged, one event at a time on this
-         domain. The order-dependent setup phase (region allocation, space
-         and name tables) runs here sequentially; the first barrier
-         release — the natural end of setup in every Ace program —
-         triggers the split. Ranks are assigned at pop: warmup pops in
-         global key order. *)
-      let split_at_release = pp.nshards > 1 in
-      let split_pending = ref false in
-      while
-        (not !split_pending)
-        && s0.failure = None
-        && not (Pdes.Pq.is_empty s0.q)
-      do
-        ignore (Pdes.Pq.pop_min s0.q s0.pop);
-        let time = s0.pop.p_time in
-        if time > s0.smax_clock then s0.smax_clock <- time;
-        let ord = s0.pop.p_ord in
-        pp.last_ord.(s0.pop.p_owner) <- ord;
-        pp.last_time.(s0.pop.p_owner) <- time;
-        s0.cur_ord <- ord;
-        s0.cur_parent <- s0.pop.p_parent;
-        s0.cur_idx <- s0.pop.p_base;
-        s0.cur_owner <- s0.pop.p_owner;
-        s0.in_event <- true;
-        if s0.pop.p_parent == ord then begin
-          ord.Pdes.Order.rank <- pp.rank_ctr;
-          pp.rank_ctr <- pp.rank_ctr + 1
-        end;
-        (try s0.pop.p_thunk ()
-         with e -> if s0.failure = None then s0.failure <- Some e);
-        s0.in_event <- false;
-        if s0.arrivals <> [] then begin
-          merge_arrivals pp;
-          if release_ready t pp && split_at_release then
-            split_pending := true
-        end
-      done;
-      (match s0.failure with Some e -> raise e | None -> ());
-      merge_live t pp;
-
-      if !split_pending then begin
-        (* ---- split: partition the merged queue by owning shard, spawn
-           the worker domains, and run window by window *)
-        pp.par_active <- true;
-        let q = s0.q in
-        let n = Pdes.Pq.length q in
-        let entries =
-          Array.init n (fun i ->
-              ( q.Pdes.Pq.times.(i),
-                q.Pdes.Pq.ords.(i),
-                q.Pdes.Pq.owners.(i),
-                q.Pdes.Pq.parents.(i),
-                q.Pdes.Pq.bases.(i),
-                q.Pdes.Pq.thunks.(i) ))
-        in
-        q.Pdes.Pq.size <- 0;
-        Array.fill q.Pdes.Pq.thunks 0 (Array.length q.Pdes.Pq.thunks) ignore;
-        Array.iter
-          (fun (time, ord, owner, parent, base, thunk) ->
-            Pdes.Pq.push pp.shards.(pp.shard_of.(owner)).q ~time ~ord ~owner
-              ~parent ~base thunk)
-          entries;
-        workers :=
-          Array.init (pp.nshards - 1) (fun i ->
-              Domain.spawn (fun () -> worker_loop t pp pp.shards.(i + 1)));
-
-        let running = ref true in
-        while !running do
-          let w = global_min pp in
-          if w = infinity then running := false
-          else begin
-            pp.wbase <- w;
-            pp.horizon <- w +. pp.lookahead;
-            let quiet = ref false in
-            while not !quiet do
-              Array.iteri
-                (fun i (s : shard) ->
-                  if i > 0 then begin
-                    Mutex.lock s.wm;
-                    s.wcmd <- W_go;
-                    Condition.signal s.wcv;
-                    Mutex.unlock s.wm
-                  end)
-                pp.shards;
-              shard_round pp s0 ~wbase:pp.wbase ~horizon:pp.horizon;
-              Array.iteri
-                (fun i (s : shard) ->
-                  if i > 0 then begin
-                    Mutex.lock s.wm;
-                    while s.wcmd <> W_done do
-                      Condition.wait s.wcv s.wm
-                    done;
-                    s.wcmd <- W_idle;
-                    Mutex.unlock s.wm
-                  end)
-                pp.shards;
-              check_failures pp;
-              merge_live t pp;
-              let hot = deliver_obox pp in
-              merge_arrivals pp;
-              let released = release_ready t pp in
-              let mn = global_min pp in
-              quiet :=
-                (not (hot || released))
-                && not (mn < pp.horizon || mn = pp.wbase)
-            done;
-            rank_window pp
-          end
-        done;
-        stop_workers ()
-      end;
-      merge_live t pp;
-      Array.iter
-        (fun s ->
-          if s.smax_clock > t.max_clock then t.max_clock <- s.smax_clock)
-        pp.shards;
-      if t.live > 0 then deadlock_report t procs finished;
-      Array.iter
-        (fun p -> if p.clock > t.max_clock then t.max_clock <- p.clock)
-        procs)
-
-let run t program =
-  match t.mode with
-  | Mseq -> run_seq t program
-  | Mpar pp -> run_par t pp program
+  if t.live > 0 then begin
+    (* Name the stuck processors and where their clocks stopped, so a
+       deadlock (a lost-and-abandoned message, a mis-tuned retransmit
+       timeout, a missing barrier arrival) is diagnosable from the error
+       alone. *)
+    let blocked =
+      Array.to_list procs
+      |> List.filter (fun p -> not finished.(p.id))
+      |> List.map (fun p -> Printf.sprintf "P%d@%.0f" p.id p.clock)
+    in
+    failwith
+      (Printf.sprintf
+         "Machine.run: deadlock: %d fiber(s) blocked forever with no \
+          pending events (last event at t=%.0f); blocked processors: %s"
+         t.live t.max_clock
+         (String.concat ", " blocked))
+  end;
+  Array.iter (fun p -> if p.clock > t.max_clock then t.max_clock <- p.clock) procs
 
 let time t = t.max_clock
 let seconds t ~cycles_per_sec = t.max_clock /. cycles_per_sec
@@ -1010,25 +198,29 @@ let seconds t ~cycles_per_sec = t.max_clock /. cycles_per_sec
 module Barrier = struct
   let sid_arrivals = Stats.intern "barrier.arrivals"
 
-  type b = barrier_state
+  type b = {
+    owner : t;
+    cost : int -> float;
+    mutable arrived : int;
+    mutable latest : float;
+    mutable gen : unit Ivar.t;
+    mutable gen_no : int; (* generation counter, for trace labelling *)
+    mutable cjoin : int;
+        (* causal join of this generation's arrivals so far (-1 = none):
+           the release node depends on ALL arrivals, so a what-if replay
+           can re-decide which processor arrives last *)
+  }
 
   let create owner ~cost =
-    let b =
-      {
-        bowner = owner;
-        bcost = cost;
-        arrived = 0;
-        latest = 0.;
-        gen = Ivar.create ();
-        gen_no = 0;
-        cjoin = -1;
-        waiters = [];
-      }
-    in
-    (match owner.mode with
-    | Mseq -> ()
-    | Mpar pp -> pp.barriers <- b :: pp.barriers);
-    b
+    {
+      owner;
+      cost;
+      arrived = 0;
+      latest = 0.;
+      gen = Ivar.create ();
+      gen_no = 0;
+      cjoin = -1;
+    }
 
   (* Every arrival awaits the current generation's ivar; the last arrival
      fills it at [latest + cost P], which releases (and time-advances)
@@ -1036,50 +228,39 @@ module Barrier = struct
      generation, arrival to release: the per-proc span lengths within a
      generation expose barrier skew (who arrived early and waited). *)
   let wait b p =
-    let t = b.bowner in
+    let t = b.owner in
     let gen = b.gen in
     let gen_no = b.gen_no in
     let arrival = p.clock in
-    (match t.mode with
-    | Mseq ->
-        b.arrived <- b.arrived + 1;
-        if p.clock > b.latest then b.latest <- p.clock;
-        (match t.crit with
-        | None -> ()
-        | Some c -> b.cjoin <- Crit.join c b.cjoin (Crit.head c p.id));
-        if b.arrived = t.nprocs then begin
-          let release = b.latest +. b.bcost t.nprocs in
-          b.arrived <- 0;
-          b.latest <- 0.;
-          b.gen <- Ivar.create ();
-          b.gen_no <- gen_no + 1;
-          match t.crit with
-          | None -> Ivar.fill gen ~time:release ()
-          | Some c ->
-              let jn = b.cjoin in
-              b.cjoin <- -1;
-              let bn =
-                Crit.node c ~pred:jn ~kind:Crit.k_barrier ~a:p.id ~b:gen_no
-                  ~time:release
-                  ~cost:(release -. Crit.time_of c jn)
-                  ()
-              in
-              Crit.set_head c ~proc:p.id bn;
-              (* Waiters wake inside this fill: make the release node their
-                 cause. *)
-              Crit.with_cur c bn (fun () -> Ivar.fill gen ~time:release ())
-        end;
-        await p gen
-    | Mpar _ ->
-        (* Generation bookkeeping is serialized on the coordinator: the
-           Par_wait handler buffers this arrival on the executing shard and
-           the run loop merges and releases between rounds. [gen] is unused
-           in this mode; [gen_no] advances at release for the trace label
-           below, which all of a generation's arrivals read before any
-           release can run. *)
-        ignore gen;
-        Effect.perform (Par_wait (b, p)));
-    Stats.incr_id (stats t) sid_arrivals;
+    b.arrived <- b.arrived + 1;
+    if p.clock > b.latest then b.latest <- p.clock;
+    (match t.crit with
+    | None -> ()
+    | Some c -> b.cjoin <- Crit.join c b.cjoin (Crit.head c p.id));
+    if b.arrived = t.nprocs then begin
+      let release = b.latest +. b.cost t.nprocs in
+      b.arrived <- 0;
+      b.latest <- 0.;
+      b.gen <- Ivar.create ();
+      b.gen_no <- gen_no + 1;
+      match t.crit with
+      | None -> Ivar.fill gen ~time:release ()
+      | Some c ->
+          let jn = b.cjoin in
+          b.cjoin <- -1;
+          let bn =
+            Crit.node c ~pred:jn ~kind:Crit.k_barrier ~a:p.id ~b:gen_no
+              ~time:release
+              ~cost:(release -. Crit.time_of c jn)
+              ()
+          in
+          Crit.set_head c ~proc:p.id bn;
+          (* Waiters wake inside this fill: make the release node their
+             cause. *)
+          Crit.with_cur c bn (fun () -> Ivar.fill gen ~time:release ())
+    end;
+    await p gen;
+    Stats.incr_id t.stats sid_arrivals;
     match t.trace with
     | None -> ()
     | Some tr ->

@@ -15,82 +15,15 @@ type proc = private {
   machine : t;
 }
 
-(** Which run loop drives the simulation. [Seq_engine] (the default) is
-    the historical single-domain event loop. [Par_engine n] partitions the
-    processors into [n] shards, each draining its own event queue on its
-    own OCaml domain, advancing window-by-window to a safe horizon derived
-    from the minimum cross-processor wire latency ({!set_lookahead});
-    simulated output — times, statistics, traces — is bit-identical to
-    [Seq_engine]. Requires the {!Event_queue.Fifo} tie-break policy. *)
-type engine = Seq_engine | Par_engine of int
-
-(** Round-trippable textual form ("seq", "par:N"; "par" alone picks one
-    shard per recommended host domain) — the spelling CLIs and [.repro]
-    files use. *)
-val engine_to_string : engine -> string
-
-val engine_of_string : string -> (engine, string) result
-
-(** The parallel engine detected an execution it cannot replicate
-    sequential order for (a delivery behind a processor's execution
-    front). Deterministically re-runnable with [Seq_engine]. *)
-exception Par_violation of string
-
-(** The program used a feature the parallel engine does not support
-    (non-Fifo policy, critical-path recording, an order-dependent global
-    operation after the shards split). Re-runnable with [Seq_engine]. *)
-exception Par_unsupported of string
-
-(** [Some reason] for the two fallback exceptions above, [None] for
-    anything else — drivers match on this to decide whether to rerun
-    sequentially. *)
-val par_fallback_reason : exn -> string option
-
-(** [create ?policy ?engine ~nprocs ()] builds a fresh machine. [policy]
-    fixes how same-timestamp events are ordered (default
-    {!Event_queue.Fifo}, the historical bit-identical behaviour); any
-    policy is a legal execution of the simulated machine, so program
-    results at synchronization points must not depend on it — the
-    conformance kit checks exactly that. [engine] (default {!Seq_engine})
-    selects the run loop; [Par_engine n] raises {!Par_unsupported} if
-    [policy] is not [Fifo]. *)
-val create : ?policy:Event_queue.policy -> ?engine:engine -> nprocs:int -> unit -> t
+(** [create ?policy ~nprocs ()] builds a fresh machine. [policy] fixes how
+    same-timestamp events are ordered (default {!Event_queue.Fifo}, the
+    historical bit-identical behaviour); any policy is a legal execution of
+    the simulated machine, so program results at synchronization points must
+    not depend on it — the conformance kit checks exactly that. *)
+val create : ?policy:Event_queue.policy -> nprocs:int -> unit -> t
 
 val nprocs : t -> int
-
-(** This machine's engine ([Par_engine n] reports the effective shard
-    count, clamped to [nprocs]). *)
-val engine : t -> engine
-
-(** Number of shards: 1 sequentially, the clamped shard count in parallel. *)
-val nshards : t -> int
-
-(** The executing shard's index (0 sequentially or outside a run). Hot
-    paths use this to index per-shard accumulator arrays. *)
-val shard_ix : t -> int
-
-(** The statistics instance to record into *right now*: the executing
-    shard's private accumulator during a parallel run (merged into the
-    root instance when the run finishes), the root instance otherwise.
-    Hot paths may cache it per shard but never across runs. *)
 val stats : t -> Stats.t
-
-(** The root statistics instance — the merged totals. Only complete
-    between runs. *)
-val root_stats : t -> Stats.t
-
-(** [set_lookahead t cycles] declares the minimum simulated latency of any
-    cross-processor interaction (wire latency + receive overhead); the
-    parallel engine uses it as the conservative window width. No-op
-    sequentially. Larger is faster; too large is caught by the causality
-    checks, not silently wrong. *)
-val set_lookahead : t -> float -> unit
-
-(** [assert_seq_context t what] raises [Par_unsupported what] if the
-    parallel engine has split into concurrent shards — used by
-    order-dependent global operations (region allocation, space creation,
-    protocol changes) that are only deterministic one-event-at-a-time. *)
-val assert_seq_context : t -> string -> unit
 
 (** The event queue's tie-break policy. *)
 val policy : t -> Event_queue.policy
@@ -110,23 +43,10 @@ val set_crit : t -> Crit.t option -> unit
 
 val crit : t -> Crit.t option
 
-(** [schedule ?owner t ~time f] runs [f] at virtual [time] on the event
-    loop (used for message deliveries; [f] must not block). When a
-    recorder is attached, [f] runs in the scheduling event's causal
-    context. [owner] names the processor whose state [f] touches — the
-    parallel engine routes the event to that processor's shard (default:
-    the scheduling event's owner); the sequential engine ignores it. *)
-val schedule : ?owner:int -> t -> time:float -> (unit -> unit) -> unit
-
-(** [run_at t ~owner ~time f] runs [f] — simulated work belonging to
-    processor [owner] at time [time] — from inside another processor's
-    event. Sequentially it is exactly [f ()]; under the parallel engine a
-    cross-shard call becomes a continuation event on [owner]'s shard that
-    inherits the calling event's order and push counter, so everything
-    [f] pushes tie-breaks exactly as the inline call would have. The call
-    must be in tail position within its event (nothing may be pushed
-    after it returns), and [f] must only touch [owner]'s state. *)
-val run_at : t -> owner:int -> time:float -> (unit -> unit) -> unit
+(** [schedule t ~time f] runs [f] at virtual [time] on the event loop
+    (used for message deliveries; [f] must not block). When a recorder is
+    attached, [f] runs in the scheduling event's causal context. *)
+val schedule : t -> time:float -> (unit -> unit) -> unit
 
 (** Like {!schedule} but [f] runs with the given {!Crit} node as its
     causal context (used by message delivery, whose cause is the freshly

@@ -298,38 +298,6 @@ let reset t =
     t.fsparse;
   Array.iter (fun counts -> Array.fill counts 0 (Array.length counts) 0.) t.hists
 
-(* Sum every counter, family cell, and histogram bucket of [src] into
-   [dst]. The parallel engine runs each shard against its own instance and
-   merges them into the root at the end of the run: addition is the only
-   combining operation any accumulator needs, so the merged totals are
-   identical to what a sequential run would have produced. *)
-let merge_into dst src =
-  for sid = 0 to Array.length src.slots - 1 do
-    let v = src.slots.(sid) in
-    if v <> 0. then add_id dst sid v
-  done;
-  Array.iteri
-    (fun f cells ->
-      Array.iteri (fun ix v -> if v <> 0. then add_dim dst f ix v) cells)
-    src.fams;
-  Array.iteri
-    (fun f tbl ->
-      match tbl with
-      | None -> ()
-      | Some h ->
-          Hashtbl.iter
-            (fun ix v -> if v <> 0. then add_dim_sparse dst f ix v)
-            h)
-    src.fsparse;
-  Array.iteri
-    (fun h counts ->
-      if Array.exists (fun c -> c <> 0.) counts then begin
-        hist_open dst h;
-        let dc = dst.hists.(h) in
-        Array.iteri (fun b c -> dc.(b) <- dc.(b) +. c) counts
-      end)
-    src.hists
-
 let to_list t =
   let snapshot = Mutex.protect mutex (fun () -> Array.sub !names 0 !n_ids) in
   let acc = ref [] in

@@ -87,12 +87,6 @@ val hist_counts : t -> hist -> float array * float array
     [limits] as read-only. *)
 val hist_live : t -> hist -> float array * float array
 
-(** [merge_into dst src] sums every counter, family cell, and histogram
-    bucket of [src] into [dst] (used by the parallel engine to fold
-    per-shard accumulators into the run's root instance). [src] is not
-    modified. *)
-val merge_into : t -> t -> unit
-
 (** All scalar counters with a nonzero value, sorted by name. *)
 val to_list : t -> (string * float) list
 

@@ -45,14 +45,5 @@ val arc :
 val lock_acquired : t -> tid:int -> rid:int -> ts:float -> unit
 val lock_released : t -> tid:int -> rid:int -> ts:float -> unit
 
-(** Parallel-engine hook: install (or clear) a tag function returning the
-    executing event's (order, push index). While installed, records append
-    under an internal mutex (so shards may record concurrently) and the
-    dump emits them sorted by tag — sequential append order — with
-    async-pair ids renumbered by first appearance, making the serialized
-    file byte-identical to a sequential run's. The sequential engine never
-    installs one and pays nothing. *)
-val set_par : t -> (unit -> Pdes.Order.t * int) option -> unit
-
 val to_buffer : t -> nprocs:int -> Buffer.t -> unit
 val write_file : t -> nprocs:int -> string -> unit

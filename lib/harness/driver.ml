@@ -98,49 +98,10 @@ let critted ?crit machine body =
         (Ace_obs.Critpath.blame_by_space dag bp);
       out
 
-(* Engine selection and fallback. The parallel engine claims bit-identical
-   simulated output only on the paths it supports: fault injection,
-   critical-path recording, non-FIFO tie-break policies, and online
-   adaptation silently select the sequential engine instead, and a
-   parallel run that trips a causality check or an unsupported operation
-   mid-run is transparently re-run sequentially from scratch (simulation
-   state is rebuilt, so the rerun is exactly a sequential run). The engine
-   can change wall-clock time, never results. *)
-let resolve_engine ?faults ?crit ?policy ?adapt engine =
-  match engine with
-  | None | Some Machine.Seq_engine -> None
-  | Some (Machine.Par_engine _ as e) ->
-      let gated =
-        (match faults with Some spec -> Faults.enabled spec | None -> false)
-        || Option.is_some crit
-        || (match policy with
-           | Some p -> p <> Ace_engine.Event_queue.Fifo
-           | None -> false)
-        || Option.is_some adapt
-      in
-      if gated then None else Some e
-
-(* The CLI/env spelling of an engine choice lives next to the type
-   (Machine.engine_of_string) so bench, acecheck and .repro files agree. *)
-let engine_of_string = Machine.engine_of_string
-let engine_to_string = Machine.engine_to_string
-
-let with_seq_fallback engine attempt =
-  match engine with
-  | None -> attempt None
-  | Some _ -> (
-      try attempt engine
-      with e -> (
-        match Machine.par_fallback_reason e with
-        | Some _ -> attempt None
-        | None -> raise e))
-
-let run_crl (type cfg) ?faults ?batch ?trace ?crit ?stats ?policy ?engine
+let run_crl (type cfg) ?faults ?batch ?trace ?crit ?stats ?policy
     ?(wrap : Ace_crl.Crl.ctx wrap option) ~nprocs
     (module App : APP with type config = cfg) (cfg : cfg) =
-  with_seq_fallback (resolve_engine ?faults ?crit ?policy engine)
-  @@ fun engine ->
-  let sys = Ace_crl.Crl.create ?policy ?engine ~nprocs () in
+  let sys = Ace_crl.Crl.create ?policy ~nprocs () in
   attach_faults (Ace_crl.Crl.am sys) faults;
   attach_batch (Ace_crl.Crl.am sys) batch;
   let machine = Ace_crl.Crl.machine sys in
@@ -165,11 +126,9 @@ let run_crl (type cfg) ?faults ?batch ?trace ?crit ?stats ?policy ?engine
   out
 
 let run_ace (type cfg) ?faults ?batch ?trace ?crit ?cost ?stats ?policy
-    ?adapt ?engine ?(wrap : Ace_runtime.Protocol.ctx wrap option) ~nprocs
+    ?adapt ?(wrap : Ace_runtime.Protocol.ctx wrap option) ~nprocs
     (module App : APP with type config = cfg) (cfg : cfg) =
-  with_seq_fallback (resolve_engine ?faults ?crit ?policy ?adapt engine)
-  @@ fun engine ->
-  let rt = Ace_runtime.Runtime.create ?cost ?policy ?engine ~nprocs () in
+  let rt = Ace_runtime.Runtime.create ?cost ?policy ~nprocs () in
   attach_faults (Ace_runtime.Runtime.am rt) faults;
   attach_batch (Ace_runtime.Runtime.am rt) batch;
   Ace_protocols.Proto_lib.register_all rt;

@@ -30,18 +30,13 @@ let hist_latency =
    sized by the links actually exercised. *)
 let dense_links_limit = 256
 
-(* One shard's accounting: logical-send counters plus live Stats cell
-   arrays, opened once so the per-message accounting is plain array stores
-   (Am.send is the simulator's hottest path; the dimensions are fixed at
-   nprocs / nprocs^2 so the references never go stale — see
-   Stats.dim_open). Sequentially there is exactly one of these, bound to
-   the machine's root stats; under the parallel engine each shard builds
-   its own on first send, bound to its private stats instance (merged into
-   the root when the run ends), so the hot path stays lock-free. *)
-type acct = {
-  stats : Stats.t;
-  mutable messages : int; (* logical sends: one per [send] call *)
-  mutable bytes_sent : int;
+(* Live Stats cell arrays, opened once so the per-message accounting is
+   plain array stores (Am.send is the simulator's hottest path; the
+   dimensions are fixed at nprocs / nprocs^2 so the references never go
+   stale — see Stats.dim_open). Opened on the first delivery rather than
+   in [create], which keeps the nprocs² link array (512 KiB at 256 nodes)
+   out of machine set-up. *)
+type cells = {
   msgs_src : float array;
   msgs_dst : float array;
   bytes_src : float array;
@@ -54,10 +49,12 @@ type acct = {
 type t = {
   machine : Machine.t;
   cost : Cost_model.t;
+  mutable messages : int; (* logical sends: one per [send] call *)
+  mutable bytes_sent : int;
   mutable faults : Faults.t option;
   mutable batching : bool; (* opt-in bulk-transfer mode; off = historical paths *)
   nprocs : int;
-  accts : acct option array; (* slot [i] built and touched only by shard [i] *)
+  cells : cells Lazy.t;
 }
 
 (* Bump a per-link family cell in whichever representation this machine
@@ -66,43 +63,32 @@ let add_link t stats f link v =
   if t.nprocs <= dense_links_limit then Stats.add_dim stats f link v
   else Stats.add_dim_sparse stats f link v
 
-let mk_acct nprocs stats =
+let open_cells stats n =
   let lat_limits, lat_counts = Stats.hist_live stats hist_latency in
   {
-    stats;
-    messages = 0;
-    bytes_sent = 0;
-    msgs_src = Stats.dim_open stats fam_msgs_src ~size:nprocs;
-    msgs_dst = Stats.dim_open stats fam_msgs_dst ~size:nprocs;
-    bytes_src = Stats.dim_open stats fam_bytes_src ~size:nprocs;
-    bytes_dst = Stats.dim_open stats fam_bytes_dst ~size:nprocs;
+    msgs_src = Stats.dim_open stats fam_msgs_src ~size:n;
+    msgs_dst = Stats.dim_open stats fam_msgs_dst ~size:n;
+    bytes_src = Stats.dim_open stats fam_bytes_src ~size:n;
+    bytes_dst = Stats.dim_open stats fam_bytes_dst ~size:n;
     msgs_link =
-      (if nprocs <= dense_links_limit then
-         Stats.dim_open stats fam_msgs_link ~size:(nprocs * nprocs)
+      (if n <= dense_links_limit then
+         Stats.dim_open stats fam_msgs_link ~size:(n * n)
        else [||]);
     lat_limits;
     lat_counts;
   }
 
-(* The executing shard's accounting, built on first use from the stats
-   instance current in this context. *)
-let acct t =
-  let ix = Machine.shard_ix t.machine in
-  match t.accts.(ix) with
-  | Some a -> a
-  | None ->
-      let a = mk_acct t.nprocs (Machine.stats t.machine) in
-      t.accts.(ix) <- Some a;
-      a
-
 let create machine cost =
+  let n = Machine.nprocs machine in
   {
     machine;
     cost;
+    messages = 0;
+    bytes_sent = 0;
     faults = None;
     batching = false;
-    nprocs = Machine.nprocs machine;
-    accts = Array.make (Machine.nshards machine) None;
+    nprocs = n;
+    cells = lazy (open_cells (Machine.stats machine) n);
   }
 
 let machine t = t.machine
@@ -118,24 +104,24 @@ let batching t = t.batching
    (0 on the faultless path, where [arrival] reduces bit-exactly to the
    historical [now + transit + recv_overhead]). *)
 let deliver t ~now ~src ~dst ~bytes ~fbytes ~extra handler =
-  let a = acct t in
-  let stats = a.stats in
+  let stats = Machine.stats t.machine in
+  let c = Lazy.force t.cells in
   Stats.incr_id stats sid_messages;
   Stats.add_id stats sid_bytes fbytes;
-  a.msgs_src.(src) <- a.msgs_src.(src) +. 1.;
-  a.msgs_dst.(dst) <- a.msgs_dst.(dst) +. 1.;
-  a.bytes_src.(src) <- a.bytes_src.(src) +. fbytes;
-  a.bytes_dst.(dst) <- a.bytes_dst.(dst) +. fbytes;
+  c.msgs_src.(src) <- c.msgs_src.(src) +. 1.;
+  c.msgs_dst.(dst) <- c.msgs_dst.(dst) +. 1.;
+  c.bytes_src.(src) <- c.bytes_src.(src) +. fbytes;
+  c.bytes_dst.(dst) <- c.bytes_dst.(dst) +. fbytes;
   let link = (src * t.nprocs) + dst in
-  if Array.length a.msgs_link > 0 then
-    a.msgs_link.(link) <- a.msgs_link.(link) +. 1.
+  if Array.length c.msgs_link > 0 then
+    c.msgs_link.(link) <- c.msgs_link.(link) +. 1.
   else Stats.incr_dim_sparse stats fam_msgs_link link;
   let arrival =
     now +. Cost_model.transit t.cost ~bytes
     +. t.cost.Cost_model.am_recv_overhead +. extra
   in
-  let b = Stats.bucket a.lat_limits (arrival -. now) in
-  a.lat_counts.(b) <- a.lat_counts.(b) +. 1.;
+  let b = Stats.bucket c.lat_limits (arrival -. now) in
+  c.lat_counts.(b) <- c.lat_counts.(b) +. 1.;
   (match Machine.trace t.machine with
   | None -> ()
   | Some tr ->
@@ -144,11 +130,7 @@ let deliver t ~now ~src ~dst ~bytes ~fbytes ~extra handler =
         ~args:[ ("src", src); ("dst", dst); ("bytes", bytes) ] ());
   match Machine.crit t.machine with
   | None ->
-      (* The handler touches the destination's state: route the delivery
-         to [dst]'s shard. Arrival is at least a wire latency away, so it
-         lands at or beyond the parallel engine's horizon. *)
-      Machine.schedule ~owner:dst t.machine ~time:arrival (fun () ->
-          handler ~time:arrival)
+      Machine.schedule t.machine ~time:arrival (fun () -> handler ~time:arrival)
   | Some c ->
       (* The send→deliver arc: the handler's cause is this wire message,
          whose own cause is whatever context performed the send. *)
@@ -188,9 +170,8 @@ let send t ~now ~src ~dst ~bytes handler =
   let nprocs = t.nprocs in
   if src < 0 || src >= nprocs then invalid_arg "Am.send: bad src";
   if dst < 0 || dst >= nprocs then invalid_arg "Am.send: bad dst";
-  let a = acct t in
-  a.messages <- a.messages + 1;
-  a.bytes_sent <- a.bytes_sent + bytes;
+  t.messages <- t.messages + 1;
+  t.bytes_sent <- t.bytes_sent + bytes;
   emit t ~now ~src ~dst ~bytes handler
 
 (* ---- multicast / vectored sends ---- *)
@@ -249,9 +230,8 @@ let coalesce t ~now ~src parts =
 let send_multi t ~now ~src parts =
   List.iter
     (fun (dst, bytes, handler) ->
-      let a = acct t in
-      a.messages <- a.messages + 1;
-      a.bytes_sent <- a.bytes_sent + bytes;
+      t.messages <- t.messages + 1;
+      t.bytes_sent <- t.bytes_sent + bytes;
       emit t ~now ~src ~dst ~bytes handler)
     (coalesce t ~now ~src parts)
 
@@ -272,12 +252,5 @@ let rpc t p ~dst ~bytes handler =
   send_from t p ~dst ~bytes (fun ~time -> handler reply ~time);
   Machine.await p reply
 
-(* Logical-send totals: the sum over the per-shard accounts. Only stable
-   between windows (callers read them after the run). *)
-let sum_accts t f =
-  Array.fold_left
-    (fun n -> function Some a -> n + f a | None -> n)
-    0 t.accts
-
-let messages t = sum_accts t (fun a -> a.messages)
-let bytes_sent t = sum_accts t (fun a -> a.bytes_sent)
+let messages t = t.messages
+let bytes_sent t = t.bytes_sent

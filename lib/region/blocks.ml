@@ -74,16 +74,6 @@ let count_miss stats sid fam_space (meta : Store.meta) =
 let ctl_bytes = 16
 let data_bytes meta = Store.bytes meta + ctl_bytes
 
-(* Run [f] — work on processor [owner]'s state — from whatever node's
-   handler is executing: inline sequentially (and within a shard), a routed
-   continuation event on [owner]'s shard across shards. Used wherever a
-   handler's tail touches another node's state: the home-side [dir_exit]
-   a requester performs when its grant lands, the shared fan-in counters
-   that ack/delivery handlers on many nodes decrement toward one
-   completion. Call sites must keep it in tail position — nothing may be
-   scheduled after it (see Machine.run_at). *)
-let at ctx ~owner ~time f = Machine.run_at (Net.machine ctx.net) ~owner ~time f
-
 (* Home-side transaction serialization. A transaction runs as a chain of
    message handlers; [dir_enter] starts it when the directory is free and
    [dir_exit] starts the next queued one. *)
@@ -182,10 +172,7 @@ let transact ctx meta body =
         dir_enter meta ~time (fun time ->
             body ~time (fun ~time ->
                 Ivar.fill reply ~time ();
-                (* [finish] runs where the grant landed — usually the
-                   requester — but closing the transaction (and starting
-                   the next queued one) is home-side work. *)
-                at ctx ~owner:home ~time (fun () -> dir_exit meta ~time))))
+                dir_exit meta ~time)))
 
 (* Recall the exclusive owner's data into the master. [downgrade] is the
    state the owner's copy is left in. Calls [k] at the home once the master
@@ -623,16 +610,12 @@ let invalidate_batch ctx metas =
                         end;
                         Dir.remove d.Store.sharers n;
                         dir_exit meta ~time;
-                        (* Parts fan out to every home in the batch: the
-                           completion counter serializes back at the
-                           requester. *)
-                        at ctx ~owner:n ~time (fun () ->
-                            merge_cause ctx cjn;
-                            decr outstanding;
-                            if !outstanding = 0 then begin
-                              adopt_cause ctx cjn;
-                              Ivar.fill done_iv ~time ()
-                            end)))
+                        merge_cause ctx cjn;
+                        decr outstanding;
+                        if !outstanding = 0 then begin
+                          adopt_cause ctx cjn;
+                          Ivar.fill done_iv ~time ()
+                        end))
                 :: !parts
             end;
             if
@@ -670,16 +653,12 @@ let forward_to_sharers ctx meta ~time ~snapshot ~n ~all_delivered =
                       if c.Store.cstate = Store.Invalid then
                         c.Store.cstate <- Store.Shared)
               | None -> ());
-              (* Every sharer's delivery decrements one fan-in counter
-                 toward the completion: serialize the counter at the home,
-                 which owns the forward. *)
-              at ctx ~owner:home ~time (fun () ->
-                  merge_cause ctx cjn;
-                  decr outstanding;
-                  if !outstanding = 0 then begin
-                    adopt_cause ctx cjn;
-                    all_delivered ~time
-                  end)))
+              merge_cause ctx cjn;
+              decr outstanding;
+              if !outstanding = 0 then begin
+                adopt_cause ctx cjn;
+                all_delivered ~time
+              end))
 
 (* The ivar fills once every consumer copy has been refreshed, so a writer
    awaiting it cannot race its own update past a barrier. *)
@@ -746,16 +725,13 @@ let push_to ctx meta ~dsts =
                    if c.Store.cstate = Store.Invalid then
                      c.Store.cstate <- Store.Shared)
              end);
-            (* Sharer-set bookkeeping and the fan-in toward the writer's
-               completion are the home's state — serialize them there. *)
-            at ctx ~owner:home ~time (fun () ->
-                Dir.add meta.Store.dir.Store.sharers dst;
-                merge_cause ctx cjn;
-                decr outstanding;
-                if !outstanding = 0 then begin
-                  adopt_cause ctx cjn;
-                  Ivar.fill done_iv ~time ()
-                end)))
+            Dir.add meta.Store.dir.Store.sharers dst;
+            merge_cause ctx cjn;
+            decr outstanding;
+            if !outstanding = 0 then begin
+              adopt_cause ctx cjn;
+              Ivar.fill done_iv ~time ()
+            end))
       remote_targets;
   done_iv
 
@@ -790,9 +766,6 @@ let push_to_batch ctx items =
       List.iter
         (fun dst ->
           incr outstanding;
-          (* Batch items can have different homes, so — unlike [push_to] —
-             the fan-in counter serializes at the writer: every delivery
-             routes its decrement there. *)
           let delivered ~time =
             merge_cause ctx cjn;
             decr outstanding;
@@ -819,11 +792,10 @@ let push_to_batch ctx items =
                             c.Store.cstate <- Store.Shared
                       | None -> ());
                       Dir.add meta.Store.dir.Store.sharers dst;
-                      let late = ref 0 in
                       Store.iter_sharers meta ~except:n (fun s ->
                           if s <> home && not (List.mem s targets) then begin
-                            incr late;
-                            Stats.incr_id (stats ctx) sid_late_forward;
+                            incr outstanding;
+                            Stats.incr_id st sid_late_forward;
                             Net.send ctx.net ~now:time ~src:home ~dst:s
                               ~bytes:(data_bytes meta) (fun ~time ->
                                 (match Store.copy_of meta ~node:s with
@@ -834,30 +806,18 @@ let push_to_batch ctx items =
                                         if c.Store.cstate = Store.Invalid then
                                           c.Store.cstate <- Store.Shared)
                                 | None -> ());
-                                at ctx ~owner:n ~time (fun () ->
-                                    delivered ~time))
+                                delivered ~time)
                           end);
                       dir_exit meta ~time;
-                      let late = !late in
-                      (* The late-forward increments land with this part's
-                         own decrement, atomically at the writer — and a
-                         full message latency before any late delivery can
-                         decrement, so the counter can never prematurely
-                         hit zero. *)
-                      at ctx ~owner:n ~time (fun () ->
-                          outstanding := !outstanding + late;
-                          delivered ~time))
+                      delivered ~time)
                 else begin
                   (let c = Store.ensure_copy_c meta ~node:dst in
                    run_or_defer c ~time (fun _ ->
                        Store.blit_in meta ~buf:snapshot ~at:0 c.Store.cdata;
                        if c.Store.cstate = Store.Invalid then
                          c.Store.cstate <- Store.Shared));
-                  (* Home-side sharer bookkeeping, then the fan-in at the
-                     writer. *)
-                  at ctx ~owner:home ~time (fun () ->
-                      Dir.add meta.Store.dir.Store.sharers dst;
-                      at ctx ~owner:n ~time (fun () -> delivered ~time))
+                  Dir.add meta.Store.dir.Store.sharers dst;
+                  delivered ~time
                 end)
             :: !parts)
         targets)

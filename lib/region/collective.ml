@@ -16,11 +16,8 @@ module Net = Ace_net.Reliable
 
 type t = {
   slots : (int, int array Ivar.t) Hashtbl.t array;
-      (* per consumer node, keyed by op. Split per node — not one table
-         keyed by op * nprocs + consumer — so each table is only ever
-         touched from its consumer's context (the delivery handler runs on
-         the consumer's shard under the parallel engine, the await in the
-         consumer's own fiber). *)
+      (* per consumer node, keyed by op: each table holds only that
+         node's in-flight deliveries *)
   nprocs : int;
 }
 

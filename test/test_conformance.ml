@@ -221,6 +221,67 @@ let schedule_policies_roundtrip () =
   done;
   check "index 0 is FIFO" true (Schedule.of_index 0 = Event_queue.Fifo)
 
+(* .repro files written while the simulator had a parallel engine carry an
+   [engine] header line. "seq" must still replay, with the line kept out of
+   the program body; "par:N" names a removed run loop and is refused. *)
+let repro_engine_header () =
+  let p = Prog.generate () (Random.State.make [| 5 |]) in
+  let r =
+    {
+      Repro.proto = "SC";
+      policy = Event_queue.Fifo;
+      faults = None;
+      batch = false;
+      reason = "x";
+      prog = p;
+    }
+  in
+  let text = Repro.to_string r in
+  check "writer emits no engine line" false
+    (List.exists
+       (String.starts_with ~prefix:"engine")
+       (String.split_on_char '\n' text));
+  let with_engine e =
+    String.concat "\n"
+      (List.concat_map
+         (fun l ->
+           if String.starts_with ~prefix:"batch " l then [ l; "engine " ^ e ]
+           else [ l ])
+         (String.split_on_char '\n' text))
+  in
+  let r2 = Repro.of_string (with_engine "seq") in
+  check "engine seq replays the same program" true
+    (Prog.to_string r2.Repro.prog = Prog.to_string p
+    && r2.Repro.proto = "SC");
+  Alcotest.check_raises "engine par:4 refused"
+    (Invalid_argument "Repro.of_string: parallel engine removed (engine par:4)")
+    (fun () -> ignore (Repro.of_string (with_engine "par:4")))
+
+(* A missing --out directory is refused before any program runs, naming
+   the path, instead of losing the counterexample when the .repro is
+   written. *)
+let acecheck_missing_out_dir () =
+  let err = Filename.temp_file "acecheck" ".err" in
+  (* a path under a regular file can never be a directory *)
+  let missing = Filename.concat err "out" in
+  let code =
+    Sys.command
+      (Filename.quote_command
+         (Filename.concat
+            (Filename.dirname Sys.executable_name)
+            "../bin/acecheck.exe")
+         ~stdout:err ~stderr:err
+         [ "--inject-broken"; "--fuzz"; "50"; "--schedules"; "8"; "--seed"; "3";
+           "--out"; missing ])
+  in
+  let ic = open_in err in
+  let out = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove err;
+  check_int "exit status" 2 code;
+  check "message names the path" true (Str_find.find out missing >= 0);
+  check "no program ran" true (Str_find.find out "programs" < 0)
+
 (* ---------- seed matrix: benchmark results are schedule-independent ---- *)
 
 let scale = { E.nprocs = 4; factor = 1 }
@@ -297,6 +358,9 @@ let () =
             prog_text_roundtrip;
           Alcotest.test_case "schedule policies round-trip" `Quick
             schedule_policies_roundtrip;
+          Alcotest.test_case "repro engine header" `Quick repro_engine_header;
+          Alcotest.test_case "missing --out refused" `Quick
+            acecheck_missing_out_dir;
         ] );
       ( "schedules",
         [

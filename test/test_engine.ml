@@ -277,6 +277,96 @@ let machine_rejects_negative_advance () =
    with Invalid_argument _ -> raised := true);
   check "negative advance rejected" true !raised
 
+(* Same-timestamp and barrier-release ordering, pinned as global event
+   logs (proc, tag, time) on 4-processor machines. Each fixture opens with
+   a barrier so the interesting events start from one release. *)
+let run_logged make =
+  let m = Machine.create ~nprocs:4 () in
+  let log = ref [] in
+  let program = make m in
+  Machine.run m (fun p -> program (fun i tag t -> log := (i, tag, t) :: !log) p);
+  List.rev !log
+
+let check_log = Alcotest.(check (list (triple int int (float 0.))))
+
+(* Every processor schedules an event on every other processor at one
+   absolute timestamp: FIFO runs them in the schedulers' push order. *)
+let machine_same_time_schedule_order () =
+  let got =
+    run_logged (fun m ->
+        let b = Machine.Barrier.create m ~cost:(fun _ -> 4.) in
+        fun log p ->
+          let me = p.Machine.id in
+          Machine.advance p (float_of_int me);
+          Machine.Barrier.wait b p;
+          Machine.advance p (float_of_int (3 * me));
+          for dst = 0 to 3 do
+            if dst <> me then
+              Machine.schedule m ~time:100. (fun () -> log dst me 100.)
+          done;
+          Machine.advance p 50.;
+          log me (-1) p.Machine.clock)
+  in
+  check_log "push order at t=100"
+    [
+      (0, -1, 57.); (1, -1, 60.); (2, -1, 63.); (3, -1, 66.);
+      (1, 0, 100.); (2, 0, 100.); (3, 0, 100.);
+      (0, 1, 100.); (2, 1, 100.); (3, 1, 100.);
+      (0, 2, 100.); (1, 2, 100.); (3, 2, 100.);
+      (0, 3, 100.); (1, 3, 100.); (2, 3, 100.);
+    ]
+    got
+
+(* Barrier rounds with rotating arrival order: the last arriver continues
+   inside the releasing event, then the waiters resume in arrival order. *)
+let machine_barrier_last_arriver () =
+  let got =
+    run_logged (fun m ->
+        let b = Machine.Barrier.create m ~cost:(fun n -> float_of_int (2 * n)) in
+        fun log p ->
+          let me = p.Machine.id in
+          for round = 0 to 4 do
+            Machine.advance p (float_of_int ((me + round) * 7 mod 13));
+            Machine.Barrier.wait b p;
+            log me round p.Machine.clock
+          done)
+  in
+  check_log "release order per round"
+    [
+      (3, 0, 16.); (0, 0, 16.); (2, 0, 16.); (1, 0, 16.);
+      (2, 1, 32.); (1, 1, 32.); (3, 1, 32.); (0, 1, 32.);
+      (3, 2, 49.); (0, 2, 49.); (2, 2, 49.); (1, 2, 49.);
+      (2, 3, 66.); (1, 3, 66.); (3, 3, 66.); (0, 3, 66.);
+      (3, 4, 84.); (0, 4, 84.); (2, 4, 84.); (1, 4, 84.);
+    ]
+    got
+
+(* After each release every processor schedules onto processor 0 at one
+   timestamp: the last arriver's push comes first, then the woken
+   processors' pushes in arrival order. *)
+let machine_post_barrier_contention () =
+  let got =
+    run_logged (fun m ->
+        let b = Machine.Barrier.create m ~cost:(fun _ -> 4.) in
+        fun log p ->
+          let me = p.Machine.id in
+          for round = 1 to 3 do
+            Machine.advance p (float_of_int (7 * (me + round) mod 13));
+            Machine.Barrier.wait b p;
+            let t = 200. *. float_of_int round in
+            Machine.schedule m ~time:t (fun () -> log 0 me t)
+          done;
+          log me (-1) p.Machine.clock)
+  in
+  check_log "service order at proc 0"
+    [
+      (2, -1, 38.); (1, -1, 38.); (3, -1, 38.); (0, -1, 38.);
+      (0, 2, 200.); (0, 1, 200.); (0, 3, 200.); (0, 0, 200.);
+      (0, 3, 400.); (0, 0, 400.); (0, 2, 400.); (0, 1, 400.);
+      (0, 2, 600.); (0, 1, 600.); (0, 3, 600.); (0, 0, 600.);
+    ]
+    got
+
 (* ---- stats ---- *)
 
 let stats_counters () =
@@ -324,6 +414,12 @@ let () =
           Alcotest.test_case "deterministic" `Quick machine_deterministic;
           Alcotest.test_case "negative advance" `Quick
             machine_rejects_negative_advance;
+          Alcotest.test_case "same-timestamp schedule order" `Quick
+            machine_same_time_schedule_order;
+          Alcotest.test_case "barrier last-arriver rotation" `Quick
+            machine_barrier_last_arriver;
+          Alcotest.test_case "post-barrier same-time contention" `Quick
+            machine_post_barrier_contention;
         ] );
       ("stats", [ Alcotest.test_case "counters" `Quick stats_counters ]);
     ]
