@@ -80,34 +80,22 @@ let trace_path trace_dir ~fig ~row ~side =
       Filename.concat dir (Printf.sprintf "%s-%s-%s.trace.json" fig (slug row) side))
     trace_dir
 
-type row = {
-  name : string;
-  baseline : float; (* seconds *)
-  ace : float;
-  base_result : float;
-  ace_result : float;
-  base_msgs : float; (* physical messages, summed over the cell's runs *)
-  ace_msgs : float;
-  per_iteration : bool;
-  wall : float; (* host seconds spent simulating this row *)
-}
-
-let speedup r = r.baseline /. r.ace
+let speedup r = Row.sim r "baseline" /. Row.sim r "ace"
 
 (* A figure is assembled from independent cells — one per (row, system)
    pair, each a closed thunk running its own simulations — so the pool can
    execute them on parallel domains. Results are gathered positionally;
    simulated seconds are bit-identical to a serial (jobs = 1) run. Each
    thunk forwards the supplied [stats] probe to every simulation it runs,
-   so the row can also report the cell's physical message traffic. *)
+   so the row can also report the cell's physical message traffic, summed
+   over the cell's runs. [keys] name the two sides in the row. *)
 type spec = {
   sname : string;
-  sper_iteration : bool;
   sbase : stats:(Stats.t -> unit) -> Driver.outcome;
   sace : stats:(Stats.t -> unit) -> Driver.outcome;
 }
 
-let collect ?jobs (specs : spec array) =
+let collect ?jobs ?(keys = ("baseline", "ace")) experiment (specs : spec array) =
   let cells =
     Array.init
       (2 * Array.length specs)
@@ -122,21 +110,19 @@ let collect ?jobs (specs : spec array) =
             (out, !msgs)))
   in
   let out = Pool.run_all ?jobs cells in
+  let kb, ka = keys in
   Array.to_list
     (Array.mapi
        (fun i s ->
          let (b, bm), wall_b = out.(2 * i) in
          let (a, am), wall_a = out.((2 * i) + 1) in
          {
+           Row.experiment;
            name = s.sname;
-           baseline = b.Driver.seconds;
-           ace = a.Driver.seconds;
-           base_result = b.Driver.result;
-           ace_result = a.Driver.result;
-           base_msgs = bm;
-           ace_msgs = am;
-           per_iteration = s.sper_iteration;
            wall = wall_b +. wall_a;
+           sims = [ (kb, b.Driver.seconds); (ka, a.Driver.seconds) ];
+           msgs = [ (kb, bm); (ka, am) ];
+           results = [ (kb, b.Driver.result); (ka, a.Driver.result) ];
          })
        specs)
 
@@ -147,11 +133,10 @@ let fig7a ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch () =
   let pi run = Driver.per_iteration ~run_with_steps:run ~iters in
   let avg run = let t, r = tsp_avg run in { Driver.seconds = t; result = r } in
   let tp row side = trace_path trace_dir ~fig:"fig7a" ~row ~side in
-  collect ?jobs
+  collect ?jobs "fig7a"
     [|
       {
         sname = "Barnes-Hut";
-        sper_iteration = true;
         sbase =
           (fun ~stats ->
             pi (fun steps ->
@@ -167,7 +152,6 @@ let fig7a ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch () =
       };
       {
         sname = "BSC";
-        sper_iteration = false;
         sbase =
           (fun ~stats ->
             Driver.run_crl ?faults ?batch ~stats
@@ -181,7 +165,6 @@ let fig7a ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch () =
       };
       {
         sname = "EM3D";
-        sper_iteration = true;
         sbase =
           (fun ~stats ->
             pi (fun steps ->
@@ -197,7 +180,6 @@ let fig7a ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch () =
       };
       {
         sname = "TSP";
-        sper_iteration = false;
         sbase =
           (fun ~stats ->
             avg
@@ -213,7 +195,6 @@ let fig7a ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch () =
       };
       {
         sname = "Water";
-        sper_iteration = true;
         sbase =
           (fun ~stats ->
             pi (fun steps ->
@@ -267,35 +248,30 @@ let fig7b ?(scale = default_scale) ?jobs ?trace_dir ?faults ?batch () =
       ~nprocs (module Tsp)
       { cfg with Tsp.counter_protocol = proto }
   in
-  collect ?jobs
+  collect ?jobs "fig7b"
     [|
       {
         sname = "Barnes-Hut (dyn update)";
-        sper_iteration = true;
         sbase = (fun ~stats -> pi (bh ~stats "sc" None));
         sace = (fun ~stats -> pi (bh ~stats "custom" (Some "DYN_UPDATE")));
       };
       {
         sname = "BSC (write-once)";
-        sper_iteration = false;
         sbase = (fun ~stats -> bsc ~stats "sc" None);
         sace = (fun ~stats -> bsc ~stats "custom" (Some "WRITE_ONCE"));
       };
       {
         sname = "EM3D (static update)";
-        sper_iteration = true;
         sbase = (fun ~stats -> pi (em3d ~stats "sc" None));
         sace = (fun ~stats -> pi (em3d ~stats "custom" (Some "STATIC_UPDATE")));
       };
       {
         sname = "TSP (counter)";
-        sper_iteration = false;
         sbase = (fun ~stats -> avg (tsp ~stats "sc" None));
         sace = (fun ~stats -> avg (tsp ~stats "custom" (Some "COUNTER")));
       };
       {
         sname = "Water (null+pipeline)";
-        sper_iteration = true;
         sbase = (fun ~stats -> pi (water ~stats "sc" None));
         sace =
           (fun ~stats -> pi (water ~stats "custom" (Some ("NULL", "PIPELINE"))));
@@ -337,25 +313,23 @@ let combinator ?(scale = default_scale) ?jobs ?faults ?batch () =
   let pair name hand dsl run =
     {
       sname = name;
-      sper_iteration = true;
       sbase = (fun ~stats -> pi (run ~stats hand));
       sace = (fun ~stats -> pi (run ~stats dsl));
     }
   in
-  collect ?jobs
+  let rows =
+    collect ?jobs ~keys:("hand", "dsl") "combinator"
     [|
       pair "EM3D / SC" "SC" "DSL_SC" em3d;
       pair "Barnes-Hut / SC" "SC" "DSL_SC" bh;
       pair "Water / SC" "SC" "DSL_SC" water;
       {
         sname = "BSC / SC";
-        sper_iteration = false;
         sbase = (fun ~stats -> bsc ~stats "SC");
         sace = (fun ~stats -> bsc ~stats "DSL_SC");
       };
       {
         sname = "TSP / SC";
-        sper_iteration = false;
         sbase = (fun ~stats -> avg (tsp ~stats "SC"));
         sace = (fun ~stats -> avg (tsp ~stats "DSL_SC"));
       };
@@ -364,22 +338,25 @@ let combinator ?(scale = default_scale) ?jobs ?faults ?batch () =
       pair "Water / MIGRATORY" "MIGRATORY" "DSL_MIGRATORY" water;
       {
         sname = "BSC / WRITE_ONCE";
-        sper_iteration = false;
         sbase = (fun ~stats -> bsc ~stats "WRITE_ONCE");
         sace = (fun ~stats -> bsc ~stats "DSL_WRITE_ONCE");
       };
     |]
-
-let print_rows ~left ~right rows =
-  Printf.printf "%-26s %12s %12s %9s  %s\n" "benchmark" left right "speedup"
-    "unit";
-  Printf.printf "%s\n" (String.make 72 '-');
-  List.iter
+  in
+  (* "identical" stays in the report as the per-row verdict readers look
+     for; the combinator gates re-check the values themselves. *)
+  List.map
     (fun r ->
-      Printf.printf "%-26s %12.6f %12.6f %8.2fx  %s\n" r.name r.baseline r.ace
-        (speedup r)
-        (if r.per_iteration then "s/iter" else "s total"))
+      let same get = get r "hand" = get r "dsl" in
+      let identical = same Row.sim && same Row.msg && same Row.result in
+      { r with Row.sims = r.Row.sims @ [ ("identical", if identical then 1. else 0.) ] })
     rows
+
+(* [run ~stats] and the machine's stats as the run left them. *)
+let with_stats run =
+  let st = ref None in
+  let out = run ~stats:(fun s -> st := Some s) in
+  (out, Option.get !st)
 
 (* {2 Fault sweep}
 
@@ -390,22 +367,6 @@ let print_rows ~left ~right rows =
    figures; each cell instantiates its own RNG stream from the shared
    spec's seed, so rows are independent of pool scheduling. *)
 
-type fault_row = {
-  fr_bench : string;
-  fr_drop : float;
-  fr_seconds : float; (* simulated, total *)
-  fr_retransmits : float;
-  fr_timeouts : float;
-  fr_dup_suppressed : float;
-  fr_dropped : float; (* transmissions eaten by the network *)
-  fr_giveups : float;
-  fr_messages : float; (* physical messages *)
-  fr_acks : float; (* ACK obligations (one per received copy) *)
-  fr_acks_piggybacked : float; (* obligations that rode reverse-link data *)
-  fr_acks_cumulative : float; (* extra obligations folded into dedicated ACKs *)
-  fr_wall : float;
-}
-
 let fault_sweep ?(scale = default_scale) ?jobs
     ?(drops = [ 0.0; 0.01; 0.02; 0.05 ]) ?(base = Faults.spec ()) () =
   let nprocs = scale.nprocs in
@@ -413,30 +374,27 @@ let fault_sweep ?(scale = default_scale) ?jobs
      application speed, so two steps per iterative benchmark suffice. *)
   let benches :
       (string
-      * (?faults:Faults.spec ->
-         ?stats:(Stats.t -> unit) ->
-         unit ->
-         Driver.outcome))
+      * (faults:Faults.spec -> stats:(Stats.t -> unit) -> Driver.outcome))
       array =
     [|
       ( "Barnes-Hut",
-        fun ?faults ?stats () ->
-          Driver.run_ace ?faults ?stats ~nprocs (module Barnes_hut)
+        fun ~faults ~stats ->
+          Driver.run_ace ~faults ~stats ~nprocs (module Barnes_hut)
             (bh_cfg scale 2) );
       ( "BSC",
-        fun ?faults ?stats () ->
-          Driver.run_ace ?faults ?stats ~nprocs (module Cholesky)
+        fun ~faults ~stats ->
+          Driver.run_ace ~faults ~stats ~nprocs (module Cholesky)
             (bsc_cfg scale) );
       ( "EM3D",
-        fun ?faults ?stats () ->
-          Driver.run_ace ?faults ?stats ~nprocs (module Em3d)
+        fun ~faults ~stats ->
+          Driver.run_ace ~faults ~stats ~nprocs (module Em3d)
             (em3d_cfg scale 2) );
       ( "TSP",
-        fun ?faults ?stats () ->
-          Driver.run_ace ?faults ?stats ~nprocs (module Tsp) (tsp_cfg scale) );
+        fun ~faults ~stats ->
+          Driver.run_ace ~faults ~stats ~nprocs (module Tsp) (tsp_cfg scale) );
       ( "Water",
-        fun ?faults ?stats () ->
-          Driver.run_ace ?faults ?stats ~nprocs (module Water)
+        fun ~faults ~stats ->
+          Driver.run_ace ~faults ~stats ~nprocs (module Water)
             (water_cfg scale 2) );
     |]
   in
@@ -452,34 +410,31 @@ let fault_sweep ?(scale = default_scale) ?jobs
               Faults.spec ~drop ~dup:base.Faults.dup ~jitter:base.Faults.jitter
                 ~seed:base.Faults.seed ()
             in
-            let row = ref None in
-            let out =
-              run ~faults
-                ~stats:(fun st ->
-                  row :=
-                    Some
-                      {
-                        fr_bench = name;
-                        fr_drop = drop;
-                        fr_seconds = 0.;
-                        fr_retransmits = Stats.get st "net.retransmits";
-                        fr_timeouts = Stats.get st "net.timeouts";
-                        fr_dup_suppressed = Stats.get st "net.dup_suppressed";
-                        fr_dropped = Stats.get st "net.fault.dropped";
-                        fr_giveups = Stats.get st "net.giveups";
-                        fr_messages = Stats.get st "net.messages";
-                        fr_acks = Stats.get st "net.acks";
-                        fr_acks_piggybacked =
-                          Stats.get st "net.acks.piggybacked";
-                        fr_acks_cumulative = Stats.get st "net.acks.cumulative";
-                        fr_wall = 0.;
-                      })
-                ()
-            in
-            { (Option.get !row) with fr_seconds = out.Driver.seconds }))
+            let out, st = with_stats (run ~faults) in
+            let read = List.map (fun (k, counter) -> (k, Stats.get st counter)) in
+            ( Printf.sprintf "%s@%g" name drop,
+              ("seconds", out.Driver.seconds)
+              :: read
+                   [
+                     ("retransmits", "net.retransmits");
+                     ("timeouts", "net.timeouts");
+                     ("dup_suppressed", "net.dup_suppressed");
+                     ("dropped", "net.fault.dropped");
+                     ("giveups", "net.giveups");
+                   ],
+              read
+                [
+                  ("total", "net.messages");
+                  ("acks", "net.acks");
+                  ("acks_piggybacked", "net.acks.piggybacked");
+                  ("acks_cumulative", "net.acks.cumulative");
+                ] )))
   in
-  let out = Pool.run_all ?jobs cells in
-  Array.to_list (Array.map (fun (r, wall) -> { r with fr_wall = wall }) out)
+  Array.to_list
+    (Array.map
+       (fun ((name, sims, msgs), wall) ->
+         { Row.experiment = "faultsweep"; name; wall; sims; msgs; results = [] })
+       (Pool.run_all ?jobs cells))
 
 (* {2 Bulk-transfer batching}
 
@@ -491,56 +446,39 @@ let fault_sweep ?(scale = default_scale) ?jobs
    coalescing, write-combined updates, batched invalidations, bulk
    prefetches). *)
 
-type batch_row = {
-  br_bench : string;
-  br_off : float; (* simulated seconds, batching off *)
-  br_on : float; (* simulated seconds, batching on *)
-  br_off_msgs : float; (* physical messages, batching off *)
-  br_on_msgs : float;
-  br_coalesced : float; (* messages removed by same-destination coalescing *)
-  br_combined : float; (* write-combined updates parked in queues *)
-  br_results_agree : bool; (* batching left the computed result unchanged *)
-  br_wall : float;
-}
-
-(* Fraction of the baseline's physical messages that batching removed. *)
-let batch_reduction r =
-  if r.br_off_msgs > 0. then 1. -. (r.br_on_msgs /. r.br_off_msgs) else 0.
-
 let batching ?(scale = default_scale) ?jobs () =
   let nprocs = scale.nprocs in
   (* Short steady-state runs: the experiment measures traffic shape, not
      application speed. Each benchmark uses the protocol with the richest
      batching behaviour (fig. 7b's custom protocols). *)
   let benches :
-      (string
-      * (?batch:bool -> ?stats:(Stats.t -> unit) -> unit -> Driver.outcome))
+      (string * (batch:bool -> stats:(Stats.t -> unit) -> Driver.outcome))
       array =
     [|
       ( "Barnes-Hut (dyn update)",
-        fun ?batch ?stats () ->
-          Driver.run_ace ?batch ?stats ~nprocs (module Barnes_hut)
+        fun ~batch ~stats ->
+          Driver.run_ace ~batch ~stats ~nprocs (module Barnes_hut)
             {
               (bh_cfg scale 2) with
               Barnes_hut.n_bodies = 192 * scale.factor;
               protocol = Some "DYN_UPDATE";
             } );
       ( "BSC (write-once)",
-        fun ?batch ?stats () ->
-          Driver.run_ace ?batch ?stats ~nprocs (module Cholesky)
+        fun ~batch ~stats ->
+          Driver.run_ace ~batch ~stats ~nprocs (module Cholesky)
             { (bsc_cfg scale) with Cholesky.protocol = Some "WRITE_ONCE" } );
       ( "EM3D (static update)",
-        fun ?batch ?stats () ->
-          Driver.run_ace ?batch ?stats ~nprocs (module Em3d)
+        fun ~batch ~stats ->
+          Driver.run_ace ~batch ~stats ~nprocs (module Em3d)
             { (em3d_cfg scale 6) with Em3d.protocol = Some "STATIC_UPDATE" } );
       ( "TSP (counter)",
-        fun ?batch ?stats () ->
-          Driver.run_ace ?batch ?stats ~nprocs (module Tsp)
+        fun ~batch ~stats ->
+          Driver.run_ace ~batch ~stats ~nprocs (module Tsp)
             { (tsp_cfg scale) with Tsp.counter_protocol = Some "COUNTER" } );
       ( "Water (null+pipeline)",
-        fun ?batch ?stats () ->
+        fun ~batch ~stats ->
           let cfg = water_cfg scale 2 in
-          Driver.run_ace ?batch ?stats ~nprocs (module Water)
+          Driver.run_ace ~batch ~stats ~nprocs (module Water)
             {
               Water.core =
                 { cfg.Water.core with Ace_apps.Water_core.n_mol = 96 * scale.factor };
@@ -552,56 +490,37 @@ let batching ?(scale = default_scale) ?jobs () =
     Array.init
       (2 * Array.length benches)
       (fun i ->
-        let name, run = benches.(i / 2) in
+        let _, run = benches.(i / 2) in
         let batch = i mod 2 = 1 in
-        ignore name;
-        Pool.timed (fun () ->
-            let msgs = ref 0. and coal = ref 0. and comb = ref 0. in
-            let out =
-              run ~batch
-                ~stats:(fun st ->
-                  msgs := Stats.get st "net.messages";
-                  coal := Stats.get st "net.coalesced";
-                  comb :=
-                    Stats.get st "coh.write_combined"
-                    +. Stats.get st "coh.inval_batch"
-                    +. Stats.get st "coh.bulk_fetch")
-                ()
-            in
-            (out, !msgs, !coal, !comb)))
+        Pool.timed (fun () -> with_stats (run ~batch)))
   in
   let out = Pool.run_all ?jobs cells in
   Array.to_list
-    (Array.init (Array.length benches) (fun i ->
-         let (off, off_msgs, _, _), wall_off = out.(2 * i) in
-         let (on, on_msgs, coal, comb), wall_on = out.((2 * i) + 1) in
-         let name, _ = benches.(i) in
+    (Array.mapi
+       (fun i (name, _) ->
+         let (off, st_off), wall_off = out.(2 * i) in
+         let (on, st), wall_on = out.((2 * i) + 1) in
+         let off_msgs = Stats.get st_off "net.messages"
+         and on_msgs = Stats.get st "net.messages" in
          {
-           br_bench = name;
-           br_off = off.Driver.seconds;
-           br_on = on.Driver.seconds;
-           br_off_msgs = off_msgs;
-           br_on_msgs = on_msgs;
-           br_coalesced = coal;
-           br_combined = comb;
-           br_results_agree =
-             (off.Driver.result = on.Driver.result
-             || (Float.is_nan off.Driver.result && Float.is_nan on.Driver.result));
-           br_wall = wall_off +. wall_on;
-         }))
-
-let print_batch_rows rows =
-  Printf.printf "%-26s %10s %10s %8s %9s %9s %6s\n" "benchmark" "msgs off"
-    "msgs on" "saved" "coalesced" "combined" "ok";
-  Printf.printf "%s\n" (String.make 84 '-');
-  List.iter
-    (fun r ->
-      Printf.printf "%-26s %10.0f %10.0f %7.1f%% %9.0f %9.0f %6s\n" r.br_bench
-        r.br_off_msgs r.br_on_msgs
-        (100. *. batch_reduction r)
-        r.br_coalesced r.br_combined
-        (if r.br_results_agree then "yes" else "NO"))
-    rows
+           Row.experiment = "batching";
+           name;
+           wall = wall_off +. wall_on;
+           sims =
+             [
+               ("off", off.Driver.seconds);
+               ("on", on.Driver.seconds);
+               ("coalesced", Stats.get st "net.coalesced");
+               ( "combined",
+                 Stats.get st "coh.write_combined" +. Stats.get st "coh.inval_batch"
+                 +. Stats.get st "coh.bulk_fetch" );
+               (* fraction of the baseline's physical messages batching removed *)
+               ("reduction", if off_msgs > 0. then 1. -. (on_msgs /. off_msgs) else 0.);
+             ];
+           msgs = [ ("off", off_msgs); ("on", on_msgs) ];
+           results = [ ("off", off.Driver.result); ("on", on.Driver.result) ];
+         })
+       benches)
 
 (* {2 Weak scaling past the CM-5}
 
@@ -621,22 +540,10 @@ let print_batch_rows rows =
    simulation's live state is O(bodies × nprocs) no matter how compact the
    directory is. *)
 
-type scaling_row = {
-  sc_bench : string; (* "EM3D" | "Barnes-Hut" | "BSC" *)
-  sc_proto : string; (* "inval" | "update" *)
-  sc_nprocs : int;
-  sc_seconds : float; (* simulated, total for the cell's run *)
-  sc_messages : float; (* physical messages *)
-  sc_dir_words : float; (* peak live words of directory state *)
-  sc_regions : float; (* regions allocated *)
-  sc_wall : float; (* host seconds for the cell *)
-}
-
-(* Directory words per region, the sublinearity metric. *)
-let scaling_words_per_region r =
-  if r.sc_regions > 0. then r.sc_dir_words /. r.sc_regions else 0.
-
 let default_scaling_nprocs = [ 32; 64; 128; 256; 512; 1024 ]
+
+(* Row name of one scaling cell. *)
+let scaling_name bench proto nprocs = Printf.sprintf "%s-%s@%d" bench proto nprocs
 
 let scaling ?jobs ?(nprocs_list = default_scaling_nprocs) () =
   List.iter
@@ -663,22 +570,24 @@ let scaling ?jobs ?(nprocs_list = default_scaling_nprocs) () =
       (fun nprocs ->
         let cell bench proto run =
           Pool.timed (fun () ->
-              let msgs = ref 0. and words = ref 0. and regions = ref 0. in
-              let out =
-                run ~stats:(fun st ->
-                    msgs := Stats.get st "net.messages";
-                    words := Stats.get st "region.dir_words";
-                    regions := Stats.get st "region.regions")
-              in
+              let out, st = with_stats run in
+              let words = Stats.get st "region.dir_words"
+              and regions = Stats.get st "region.regions" in
               {
-                sc_bench = bench;
-                sc_proto = proto;
-                sc_nprocs = nprocs;
-                sc_seconds = out.Driver.seconds;
-                sc_messages = !msgs;
-                sc_dir_words = !words;
-                sc_regions = !regions;
-                sc_wall = 0.;
+                Row.experiment = "scaling";
+                name = scaling_name bench proto nprocs;
+                wall = 0.;
+                sims =
+                  [
+                    ("seconds", out.Driver.seconds);
+                    ("dir_words", words);
+                    ("regions", regions);
+                    (* the sublinearity metric *)
+                    ("words_per_region", if regions > 0. then words /. regions else 0.);
+                    ("nprocs", float_of_int nprocs);
+                  ];
+                msgs = [ ("total", Stats.get st "net.messages") ];
+                results = [];
               })
         in
         [
@@ -701,44 +610,7 @@ let scaling ?jobs ?(nprocs_list = default_scaling_nprocs) () =
       nprocs_list
   in
   let out = Pool.run_all ?jobs (Array.of_list cells) in
-  Array.to_list (Array.map (fun (r, wall) -> { r with sc_wall = wall }) out)
-
-let print_scaling_rows rows =
-  Printf.printf "%-12s %-7s %7s %12s %12s %12s %9s %10s\n" "benchmark"
-    "proto" "nprocs" "sim s" "messages" "dir words" "regions" "words/rgn";
-  Printf.printf "%s\n" (String.make 92 '-');
-  List.iter
-    (fun r ->
-      Printf.printf "%-12s %-7s %7d %12.6f %12.0f %12.0f %9.0f %10.2f\n"
-        r.sc_bench r.sc_proto r.sc_nprocs r.sc_seconds r.sc_messages
-        r.sc_dir_words r.sc_regions
-        (scaling_words_per_region r))
-    rows;
-  (* The headline: simulated-time ratio of update over invalidation per
-     machine size — below 1.0 the update protocol wins. *)
-  Printf.printf "\n%-12s %7s %14s %14s %8s\n" "crossover" "nprocs" "inval s"
-    "update s" "ratio";
-  Printf.printf "%s\n" (String.make 60 '-');
-  List.iter
-    (fun bench ->
-      List.iter
-        (fun r ->
-          if r.sc_bench = bench && r.sc_proto = "inval" then
-            match
-              List.find_opt
-                (fun u ->
-                  u.sc_bench = bench && u.sc_proto = "update"
-                  && u.sc_nprocs = r.sc_nprocs)
-                rows
-            with
-            | Some u ->
-                Printf.printf "%-12s %7d %14.6f %14.6f %8.3f\n" bench
-                  r.sc_nprocs r.sc_seconds u.sc_seconds
-                  (if r.sc_seconds > 0. then u.sc_seconds /. r.sc_seconds
-                   else nan)
-            | None -> ())
-        rows)
-    [ "EM3D"; "Barnes-Hut" ]
+  Array.to_list (Array.map (fun (r, wall) -> { r with Row.wall }) out)
 
 (* {2 Critical-path profiling}
 
@@ -754,25 +626,6 @@ let print_scaling_rows rows =
 
 module Crit = Ace_engine.Crit
 module Critpath = Ace_obs.Critpath
-
-type critpath_row = {
-  cp_bench : string;
-  cp_proto : string; (* "inval" | the custom protocol's name *)
-  cp_seconds : float; (* simulated, total *)
-  cp_cycles : float; (* recorded end time = total path blame *)
-  cp_nodes : int; (* DAG size *)
-  cp_path : int; (* steps on the critical path *)
-  cp_blame : (string * float) list; (* cycles by op class, descending *)
-  cp_whatif_net : float; (* predicted speedup, every link at half latency *)
-  cp_whatif_send : float; (* predicted speedup, send overhead halved *)
-  cp_wall : float;
-}
-
-(* The op class carrying the most critical-path cycles, with its share. *)
-let critpath_top r =
-  match r.cp_blame with
-  | [] -> ("-", 0.)
-  | (k, c) :: _ -> (k, if r.cp_cycles > 0. then c /. r.cp_cycles else 0.)
 
 let whatif_net_half = { Critpath.target = Critpath.Link (None, None); factor = 0.5 }
 let whatif_send_half = { Critpath.target = Critpath.Op "send_ovh"; factor = 0.5 }
@@ -852,32 +705,30 @@ let critpath ?(scale = default_scale) ?jobs ?dir () =
             let _, _, sp_net = Critpath.predict dag [ whatif_net_half ] in
             let _, _, sp_send = Critpath.predict dag [ whatif_send_half ] in
             {
-              cp_bench = bench;
-              cp_proto = proto;
-              cp_seconds = out.Driver.seconds;
-              cp_cycles = Critpath.total_blame bp;
-              cp_nodes = Critpath.n_nodes dag;
-              cp_path = List.length bp;
-              cp_blame = Critpath.blame_by_kind dag bp;
-              cp_whatif_net = sp_net;
-              cp_whatif_send = sp_send;
-              cp_wall = 0.;
+              Row.experiment = "critpath";
+              name = Printf.sprintf "%s-%s" bench proto;
+              wall = 0.;
+              sims =
+                [
+                  ("seconds", out.Driver.seconds);
+                  (* recorded end time = total path blame *)
+                  ("cycles", Critpath.total_blame bp);
+                  ("dag_nodes", float_of_int (Critpath.n_nodes dag));
+                  ("path_steps", float_of_int (List.length bp));
+                  (* predicted speedups: every link at half latency, send
+                     overhead halved *)
+                  ("whatif_net_half", sp_net);
+                  ("whatif_send_half", sp_send);
+                ]
+                @ List.map
+                    (fun (k, c) -> ("blame_" ^ k, c))
+                    (Critpath.blame_by_kind dag bp);
+              msgs = [];
+              results = [];
             }))
   in
   let out = Pool.run_all ?jobs cells in
-  Array.to_list (Array.map (fun (r, wall) -> { r with cp_wall = wall }) out)
-
-let print_critpath_rows rows =
-  Printf.printf "%-12s %-14s %12s %9s %8s %-22s %8s %8s\n" "benchmark" "proto"
-    "sim s" "dag" "path" "top op-class" "net x0.5" "snd x0.5";
-  Printf.printf "%s\n" (String.make 100 '-');
-  List.iter
-    (fun r ->
-      let top, share = critpath_top r in
-      Printf.printf "%-12s %-14s %12.6f %9d %8d %-15s %5.1f%%  %7.3fx %7.3fx\n"
-        r.cp_bench r.cp_proto r.cp_seconds r.cp_nodes r.cp_path top
-        (100. *. share) r.cp_whatif_net r.cp_whatif_send)
-    rows
+  Array.to_list (Array.map (fun (r, wall) -> { r with Row.wall }) out)
 
 (* {2 Adaptive serving}
 
@@ -896,31 +747,7 @@ module Kvserve = Ace_apps.Kvserve
 module Kv_core = Ace_apps.Kv_core
 module Adapt = Ace_runtime.Adapt
 
-type serving_row = {
-  sv_mode : string; (* "SC" | "DYN_UPDATE" | "MIGRATORY" | "adaptive" *)
-  sv_seconds : float; (* simulated, total *)
-  sv_messages : float; (* physical messages *)
-  sv_result : float; (* grand total served (exact integer) *)
-  sv_ok : bool; (* result equals the sequential reference *)
-  sv_switches : float; (* collective protocol switches performed *)
-  sv_residency : (string * float) list; (* space-epochs per candidate *)
-  sv_wall : float;
-}
-
 let serving_fixed = [ "SC"; "DYN_UPDATE"; "MIGRATORY" ]
-
-(* Physical messages of the best fixed row vs the adaptive row — the
-   experiment's acceptance ratio (<= 1.0 means adaptation won). *)
-let serving_headline rows =
-  let fixed =
-    List.filter (fun r -> List.mem r.sv_mode serving_fixed) rows
-  in
-  let adaptive = List.find_opt (fun r -> r.sv_mode = "adaptive") rows in
-  match (fixed, adaptive) with
-  | [], _ | _, None -> None
-  | f :: fs, Some a ->
-      let best = List.fold_left (fun b r -> if r.sv_messages < b.sv_messages then r else b) f fs in
-      Some (best, a, if best.sv_messages > 0. then a.sv_messages /. best.sv_messages else nan)
 
 let serving ?(scale = default_scale) ?jobs ?batch ?trace_dir () =
   let nprocs = scale.nprocs in
@@ -943,76 +770,35 @@ let serving ?(scale = default_scale) ?jobs ?batch ?trace_dir () =
       (List.map
          (fun (mode, fixed) ->
            Pool.timed (fun () ->
-               let msgs = ref 0.
-               and switches = ref 0.
-               and res = ref [] in
-               let stats st =
-                 msgs := Stats.get st "net.messages";
-                 switches := Stats.get st "ace.adapt.switches";
-                 res :=
-                   Array.to_list
-                     (Array.mapi
-                        (fun i name -> (name, Stats.get_dim st fam_res i))
-                        Adapt.candidates)
-               in
                let adapt =
                  match fixed with None -> Some Adapt.default | Some _ -> None
                in
-               let out =
-                 Driver.run_ace ?batch ?adapt ?trace:(tp mode) ~stats ~nprocs
-                   (module Kvserve)
-                   { cfg with Kv_core.protocol = fixed }
+               let out, st =
+                 with_stats (fun ~stats ->
+                     Driver.run_ace ?batch ?adapt ?trace:(tp mode) ~stats ~nprocs
+                       (module Kvserve)
+                       { cfg with Kv_core.protocol = fixed })
                in
                {
-                 sv_mode = mode;
-                 sv_seconds = out.Driver.seconds;
-                 sv_messages = !msgs;
-                 sv_result = out.Driver.result;
-                 sv_ok = out.Driver.result = reference;
-                 sv_switches = !switches;
-                 sv_residency = !res;
-                 sv_wall = 0.;
+                 Row.experiment = "serving";
+                 name = mode;
+                 wall = 0.;
+                 sims =
+                   [
+                     ("seconds", out.Driver.seconds);
+                     ("result", out.Driver.result);
+                     ("ok", if out.Driver.result = reference then 1. else 0.);
+                     ("switches", Stats.get st "ace.adapt.switches");
+                   ]
+                   (* space-epochs spent under each candidate *)
+                   @ Array.to_list
+                       (Array.mapi
+                          (fun i name -> ("residency_" ^ name, Stats.get_dim st fam_res i))
+                          Adapt.candidates);
+                 msgs = [ ("total", Stats.get st "net.messages") ];
+                 results = [];
                }))
          modes)
   in
   let out = Pool.run_all ?jobs cells in
-  Array.to_list (Array.map (fun (r, wall) -> { r with sv_wall = wall }) out)
-
-let print_serving_rows rows =
-  Printf.printf "%-12s %12s %12s %9s %6s  %s\n" "mode" "sim s" "messages"
-    "switches" "ok" "residency (space-epochs)";
-  Printf.printf "%s\n" (String.make 92 '-');
-  List.iter
-    (fun r ->
-      let res =
-        String.concat " "
-          (List.filter_map
-             (fun (name, n) ->
-               if n > 0. then Some (Printf.sprintf "%s:%.0f" name n) else None)
-             r.sv_residency)
-      in
-      Printf.printf "%-12s %12.6f %12.0f %9.0f %6s  %s\n" r.sv_mode
-        r.sv_seconds r.sv_messages r.sv_switches
-        (if r.sv_ok then "yes" else "NO")
-        res)
-    rows;
-  match serving_headline rows with
-  | None -> ()
-  | Some (best, a, ratio) ->
-      Printf.printf
-        "\nadaptive vs best fixed (%s): %.0f vs %.0f messages (%.3fx)\n"
-        best.sv_mode a.sv_messages best.sv_messages ratio
-
-let print_fault_rows rows =
-  Printf.printf "%-12s %6s %12s %8s %8s %8s %8s %8s %9s %8s\n" "benchmark"
-    "drop" "sim s" "rexmit" "timeout" "dupsup" "dropped" "giveup" "piggyack"
-    "cumack";
-  Printf.printf "%s\n" (String.make 96 '-');
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%-12s %6.3f %12.6f %8.0f %8.0f %8.0f %8.0f %8.0f %9.0f %8.0f\n"
-        r.fr_bench r.fr_drop r.fr_seconds r.fr_retransmits r.fr_timeouts
-        r.fr_dup_suppressed r.fr_dropped r.fr_giveups r.fr_acks_piggybacked
-        r.fr_acks_cumulative)
-    rows
+  Array.to_list (Array.map (fun (r, wall) -> { r with Row.wall }) out)

@@ -372,17 +372,6 @@ let run_hand ?trace ~nprocs name =
           if Ops.me ctx = 0 then result := r);
       (Runtime.time_seconds rt, !result))
 
-type row = {
-  name : string;
-  base : float;
-  li : float;
-  li_mc : float;
-  li_mc_dc : float;
-  hand : float;
-  results_agree : bool;
-  wall : float; (* host seconds spent simulating this row *)
-}
-
 (* Each (benchmark x variant) cell — four optimization levels plus the hand
    version — is an independent simulation, so the whole table fans out
    through the domain pool; reassembly is positional and the simulated
@@ -413,48 +402,18 @@ let table4 ?(nprocs = 32) ?jobs ?trace_dir () =
     Array.init (variants * Array.length benchmarks) (fun i -> Pool.timed (cell i))
   in
   let out = Pool.run_all ?jobs cells in
-  let close a b = abs_float (a -. b) <= 1e-6 *. (1. +. abs_float a) in
+  let keys = [ "base"; "li"; "li_mc"; "li_mc_dc"; "hand" ] in
   Array.to_list
     (Array.mapi
        (fun b (name, _) ->
          let at v = out.((b * variants) + v) in
-         let (base_t, base_r), w0 = at 0 in
-         let (li_t, li_r), w1 = at 1 in
-         let (mc_t, mc_r), w2 = at 2 in
-         let (dc_t, dc_r), w3 = at 3 in
-         let (hand_t, hand_r), w4 = at 4 in
+         let cells = List.mapi (fun v k -> (k, at v)) keys in
          {
+           Row.experiment = "table4";
            name;
-           base = base_t;
-           li = li_t;
-           li_mc = mc_t;
-           li_mc_dc = dc_t;
-           hand = hand_t;
-           results_agree =
-             close base_r li_r && close base_r mc_r && close base_r dc_r
-             && close base_r hand_r;
-           wall = w0 +. w1 +. w2 +. w3 +. w4;
+           wall = List.fold_left (fun w (_, (_, wv)) -> w +. wv) 0. cells;
+           sims = List.map (fun (k, ((t, _), _)) -> (k, t)) cells;
+           msgs = [];
+           results = List.map (fun (k, ((_, r), _)) -> (k, r)) cells;
          })
        benchmarks)
-
-let print_rows rows =
-  Printf.printf "%-24s %10s %10s %10s %10s %10s  %s\n" "Optimization"
-    "Barnes-Hut" "BSC" "EM3D" "TSP" "WATER" "";
-  let line name f =
-    Printf.printf "%-24s" name;
-    List.iter (fun r -> Printf.printf " %10.4f" (f r)) rows;
-    Printf.printf "\n"
-  in
-  line "Base case" (fun r -> r.base);
-  line "Loop Invariance (LI)" (fun r -> r.li);
-  line "LI + Merging Calls (MC)" (fun r -> r.li_mc);
-  line "LI + MC + Direct Calls" (fun r -> r.li_mc_dc);
-  line "Hand-optimized" (fun r -> r.hand);
-  Printf.printf "%-24s" "compiled/hand ratio";
-  List.iter (fun r -> Printf.printf " %9.2fx" (r.li_mc_dc /. r.hand)) rows;
-  Printf.printf "\n";
-  List.iter
-    (fun r ->
-      if not r.results_agree then
-        Printf.printf "WARNING: %s results disagree across levels!\n" r.name)
-    rows

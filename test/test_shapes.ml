@@ -5,6 +5,9 @@
 
 module E = Ace_harness.Experiments
 module T4 = Ace_harness.Table4
+module Row = Ace_harness.Row
+module Gate = Ace_harness.Gate
+module Suite = Ace_harness.Suite
 
 let check = Alcotest.(check bool)
 
@@ -15,15 +18,15 @@ let fig7b = lazy (E.fig7b ~scale ())
 let table4 = lazy (T4.table4 ~nprocs:8 ())
 
 let row rows name =
-  List.find (fun r -> r.E.name = name) rows
+  List.find (fun r -> r.Row.name = name) rows
 
 let fig7a_results_match () =
   List.iter
     (fun r ->
       if
-        abs_float (r.E.base_result -. r.E.ace_result)
-        > 1e-6 *. (1. +. abs_float r.E.base_result)
-      then Alcotest.failf "%s: CRL and Ace results differ" r.E.name)
+        abs_float (Row.result r "baseline" -. Row.result r "ace")
+        > 1e-6 *. (1. +. abs_float (Row.result r "baseline"))
+      then Alcotest.failf "%s: CRL and Ace results differ" r.Row.name)
     (Lazy.force fig7a)
 
 let fig7a_ace_wins_fine_grained () =
@@ -42,9 +45,9 @@ let fig7b_results_match () =
   List.iter
     (fun r ->
       if
-        abs_float (r.E.base_result -. r.E.ace_result)
-        > 1e-6 *. (1. +. abs_float r.E.base_result)
-      then Alcotest.failf "%s: SC and custom results differ" r.E.name)
+        abs_float (Row.result r "baseline" -. Row.result r "ace")
+        > 1e-6 *. (1. +. abs_float (Row.result r "baseline"))
+      then Alcotest.failf "%s: SC and custom results differ" r.Row.name)
     (Lazy.force fig7b)
 
 let fig7b_speedup_range () =
@@ -54,7 +57,7 @@ let fig7b_speedup_range () =
     (fun r ->
       let s = E.speedup r in
       if s < 0.9 || s > 6.5 then
-        Alcotest.failf "%s: speedup %.2f out of the paper's band" r.E.name s)
+        Alcotest.failf "%s: speedup %.2f out of the paper's band" r.Row.name s)
     rows;
   let avg =
     List.fold_left (fun a r -> a +. E.speedup r) 0. rows
@@ -68,7 +71,7 @@ let fig7b_em3d_biggest () =
   let em3d = E.speedup (row rows "EM3D (static update)") in
   check "em3d > 2.5" true (em3d > 2.5);
   List.iter
-    (fun r -> check (r.E.name ^ " <= em3d") true (E.speedup r <= em3d +. 1e-9))
+    (fun r -> check (r.Row.name ^ " <= em3d") true (E.speedup r <= em3d +. 1e-9))
     rows
 
 let fig7b_bsc_marginal () =
@@ -86,39 +89,42 @@ let table4_monotone () =
      for the timing-sensitive TSP) *)
   List.iter
     (fun r ->
-      let tol = 1.05 in
-      if r.T4.li > r.T4.base *. tol then
-        Alcotest.failf "%s: LI regressed" r.T4.name;
-      if r.T4.li_mc > r.T4.li *. tol then
-        Alcotest.failf "%s: MC regressed" r.T4.name;
-      if r.T4.li_mc_dc > r.T4.li_mc *. tol then
-        Alcotest.failf "%s: DC regressed" r.T4.name)
+      let tol = 1.05 and t = Row.sim r in
+      if t "li" > t "base" *. tol then
+        Alcotest.failf "%s: LI regressed" r.Row.name;
+      if t "li_mc" > t "li" *. tol then
+        Alcotest.failf "%s: MC regressed" r.Row.name;
+      if t "li_mc_dc" > t "li_mc" *. tol then
+        Alcotest.failf "%s: DC regressed" r.Row.name)
     (Lazy.force table4)
 
 let table4_results_agree () =
+  (* the bench gate, evaluated on the 8-processor table *)
+  let exp = Option.get (Suite.find "table4") in
   List.iter
-    (fun r ->
-      if not r.T4.results_agree then
-        Alcotest.failf "%s: optimization changed the program's result" r.T4.name)
-    (Lazy.force table4)
+    (fun (v : Gate.verdict) ->
+      if not v.ok then
+        Alcotest.failf "%s: optimization changed the program's result (%s)" v.gate
+          v.detail)
+    (List.map (Gate.eval (Lazy.force table4)) (exp.gates Suite.default_opts))
 
 let table4_bsc_li_dominates () =
   (* the paper's most dramatic single-pass effect: BSC 20.39 -> 5.60 *)
-  let r = List.find (fun r -> r.T4.name = "BSC") (Lazy.force table4) in
-  check "LI at least 2x on BSC" true (r.T4.base /. r.T4.li > 2.)
+  let r = row (Lazy.force table4) "BSC" in
+  check "LI at least 2x on BSC" true (Row.sim r "base" /. Row.sim r "li" > 2.)
 
 let table4_em3d_dc_effect () =
   (* direct dispatch removes the static update null handlers in EM3D *)
-  let r = List.find (fun r -> r.T4.name = "EM3D") (Lazy.force table4) in
-  check "DC visibly helps EM3D" true (r.T4.li_mc /. r.T4.li_mc_dc > 1.05)
+  let r = row (Lazy.force table4) "EM3D" in
+  check "DC visibly helps EM3D" true (Row.sim r "li_mc" /. Row.sim r "li_mc_dc" > 1.05)
 
 let table4_compiled_near_hand () =
   (* paper: best compiled versions are 1.1-1.3x slower than hand *)
   List.iter
     (fun r ->
-      let ratio = r.T4.li_mc_dc /. r.T4.hand in
+      let ratio = Row.sim r "li_mc_dc" /. Row.sim r "hand" in
       if ratio > 1.8 || ratio < 0.75 then
-        Alcotest.failf "%s: compiled/hand ratio %.2f out of band" r.T4.name ratio)
+        Alcotest.failf "%s: compiled/hand ratio %.2f out of band" r.Row.name ratio)
     (Lazy.force table4)
 
 let () =
