@@ -3,7 +3,10 @@ type t = {
   events : Event_queue.t;
   stats : Stats.t;
   mutable live : int; (* fibers spawned and not yet returned *)
+  mutable running : int; (* id of the processor whose fiber runs, or -1 *)
   mutable max_clock : float;
+      (* latest processor clock at a run's end; [time] also takes the
+         latest event the queue ran *)
   mutable trace : Trace.t option;
       (* event tracer; None (the default) keeps every instrumentation
          point down to a single field read *)
@@ -13,7 +16,9 @@ type t = {
 
 and proc = { id : int; mutable clock : float; machine : t }
 
-type _ Effect.t += Advance : proc * float -> unit Effect.t
+(* [Advance (p, cycles, order)]: resume after [cycles] with the queue
+   order [advance] already claimed for the resumption. *)
+type _ Effect.t += Advance : proc * float * int -> unit Effect.t
 type _ Effect.t += Await : proc * 'a Ivar.t -> 'a Effect.t
 
 let create ?policy ~nprocs () =
@@ -23,6 +28,7 @@ let create ?policy ~nprocs () =
     events = Event_queue.create ?policy ();
     stats = Stats.create ();
     live = 0;
+    running = -1;
     max_clock = 0.;
     trace = None;
     crit = None;
@@ -53,10 +59,43 @@ let schedule t ~time f =
   | None -> Event_queue.push t.events ~time f
   | Some c -> schedule_cause t ~time ~cause:(Crit.export_cur c) f
 
+(* Fiber operations perform effects handled by the fiber's own handler;
+   from anywhere else (a scheduled event, another processor's fiber) they
+   would escape as [Effect.Unhandled], or move a clock nobody is running. *)
+let check_running name p =
+  let t = p.machine in
+  if t.running <> p.id then
+    invalid_arg
+      (if t.running < 0 then
+         Printf.sprintf
+           "Machine.%s: P%d called outside any running fiber (e.g. from a \
+            scheduled event)"
+           name p.id
+       else
+         Printf.sprintf
+           "Machine.%s: P%d called from P%d's fiber (a fiber may only use \
+            its own processor)"
+           name p.id t.running)
+
+(* The in-place path: the resumption [advance] would queue at the new clock
+   usually precedes every pending event, so the run loop would pop it
+   straight back. Claiming its order and finding it next, the fiber just
+   moves its clock and carries on, exactly as if the event had been pushed
+   and popped (the claim consumed the same insertion number and policy
+   draw). A recorder needs the resumption's DAG hooks, so it keeps the
+   effect path. *)
 let advance p cycles =
   if cycles < 0. || not (Float.is_finite cycles) then
     invalid_arg "Machine.advance: bad cycle count";
-  if cycles > 0. then Effect.perform (Advance (p, cycles))
+  check_running "advance" p;
+  if cycles > 0. then begin
+    let t = p.machine in
+    let order = Event_queue.claim t.events in
+    let time = p.clock +. cycles in
+    if t.crit == None && Event_queue.take_if_next t.events ~time ~order then
+      p.clock <- time
+    else Effect.perform (Advance (p, cycles, order))
+  end
 
 (* Advance with the compute blamed on [kindid] (e.g. send overhead)
    instead of the processor's current activity. *)
@@ -68,35 +107,51 @@ let advance_as p kindid cycles =
       advance p cycles;
       ignore (Crit.swap_kind c ~proc:p.id old)
 
-let await p iv = Effect.perform (Await (p, iv))
+let await p iv =
+  check_running "await" p;
+  Effect.perform (Await (p, iv))
+
+(* Continue a suspended fiber from the run loop. *)
+let resume p k v =
+  p.machine.running <- p.id;
+  Effect.Deep.continue k v
 
 (* Run one fiber under a deep handler. The handler turns Advance into a
    rescheduled resumption (so processors interleave in timestamp order) and
    Await into an ivar waiter. *)
-let spawn_fiber t (body : unit -> unit) =
+let spawn_fiber t p (body : unit -> unit) =
   let open Effect.Deep in
   t.live <- t.live + 1;
+  t.running <- p.id;
   match_with body ()
     {
-      retc = (fun () -> t.live <- t.live - 1);
-      exnc = raise;
+      retc =
+        (fun () ->
+          t.running <- -1;
+          t.live <- t.live - 1);
+      exnc =
+        (fun e ->
+          t.running <- -1;
+          raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Advance (p, cycles) ->
+          | Advance (p, cycles, order) ->
               Some
                 (fun (k : (a, unit) continuation) ->
+                  t.running <- -1;
                   p.clock <- p.clock +. cycles;
                   match t.crit with
                   | None ->
-                      Event_queue.push t.events ~time:p.clock (fun () ->
-                          continue k ())
+                      Event_queue.push_claimed t.events ~time:p.clock ~order
+                        (fun () -> resume p k ())
                   | Some c ->
                       Crit.advance c ~proc:p.id ~time:p.clock ~cycles;
                       let cause = Crit.head c p.id in
-                      Event_queue.push t.events ~time:p.clock (fun () ->
+                      Event_queue.push_claimed t.events ~time:p.clock ~order
+                        (fun () ->
                           Crit.set_cur c cause;
-                          continue k ()))
+                          resume p k ()))
           | Await (p, iv) ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -120,12 +175,13 @@ let spawn_fiber t (body : unit -> unit) =
                       (* This callback runs synchronously inside Ivar.fill,
                          i.e. in the *filler's* causal context — exactly the
                          fill→wakeup edge. *)
+                      t.running <- -1;
                       Ivar.on_fill iv (fun ~time v ->
                           if time > p.clock then p.clock <- time;
                           match t.crit with
                           | None ->
                               Event_queue.push t.events ~time:p.clock
-                                (fun () -> continue k v)
+                                (fun () -> resume p k v)
                           | Some c ->
                               let n =
                                 Crit.wake c ~proc:p.id ~cause:(Crit.cur c)
@@ -134,15 +190,18 @@ let spawn_fiber t (body : unit -> unit) =
                               Event_queue.push t.events ~time:p.clock
                                 (fun () ->
                                   Crit.set_cur c n;
-                                  continue k v)))
+                                  resume p k v)))
           | _ -> None);
     }
 
+let time t = Float.max t.max_clock (Event_queue.latest_time t.events)
+
 let run t program =
-  let procs = Array.init t.nprocs (fun id -> { id; clock = t.max_clock; machine = t }) in
+  let start = time t in
+  let procs = Array.init t.nprocs (fun id -> { id; clock = start; machine = t }) in
   let finished = Array.make t.nprocs false in
   let spawn p () =
-    spawn_fiber t (fun () ->
+    spawn_fiber t p (fun () ->
         program p;
         finished.(p.id) <- true)
   in
@@ -169,10 +228,7 @@ let run t program =
   Fun.protect
     ~finally:(fun () ->
       match t.crit with None -> () | Some _ -> Crit.deactivate ())
-    (fun () ->
-      Event_queue.drain t.events (fun time thunk ->
-          if time > t.max_clock then t.max_clock <- time;
-          thunk ()));
+    (fun () -> Event_queue.drain t.events);
   if t.live > 0 then begin
     (* Name the stuck processors and where their clocks stopped, so a
        deadlock (a lost-and-abandoned message, a mis-tuned retransmit
@@ -187,13 +243,12 @@ let run t program =
       (Printf.sprintf
          "Machine.run: deadlock: %d fiber(s) blocked forever with no \
           pending events (last event at t=%.0f); blocked processors: %s"
-         t.live t.max_clock
+         t.live (time t)
          (String.concat ", " blocked))
   end;
   Array.iter (fun p -> if p.clock > t.max_clock then t.max_clock <- p.clock) procs
 
-let time t = t.max_clock
-let seconds t ~cycles_per_sec = t.max_clock /. cycles_per_sec
+let seconds t ~cycles_per_sec = time t /. cycles_per_sec
 
 module Barrier = struct
   let sid_arrivals = Stats.intern "barrier.arrivals"

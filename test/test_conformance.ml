@@ -2,8 +2,8 @@
    observation logs, the deterministic first-racy-pair report of the race
    checker, differential fuzzing (clean on the shipped registry, catches a
    deliberately broken protocol with a replayable shrunk counterexample),
-   and schedule-independence of the five-benchmark grid under random
-   event-queue tie-breaks. *)
+   schedule-independence of the five-benchmark grid under random
+   event-queue tie-breaks, and Water's simulated time pinned per policy. *)
 
 module Oracle = Ace_check.Oracle
 module Schedule = Ace_check.Schedule
@@ -328,6 +328,36 @@ let benchmarks_schedule_independent () =
         reference got)
     (List.tl policies)
 
+(* The seed matrix compares results, which are schedule-independent by
+   design, so it cannot see a change to how a policy breaks ties. These
+   schedules are pinned bit-exactly instead: Water's simulated seconds do
+   depend on the policy, and every saved .repro replays one of them. *)
+let water_schedules =
+  [
+    ("fifo", "0.045952939393939393", 13720.);
+    ("random:11", "0.045894484848484851", 13720.);
+    ("random:22", "0.045913969696969696", 13720.);
+    ("rotate:3:1", "0.045874999999999999", 13720.);
+    ("rotate:5:0", "0.045894484848484851", 13720.);
+  ]
+
+let water_schedules_pinned () =
+  let scale = { E.nprocs = 8; factor = 1 } in
+  List.iter
+    (fun (name, seconds, messages) ->
+      let policy = Event_queue.policy_of_string name in
+      let msgs = ref nan in
+      let out =
+        Driver.run_ace ~policy ~nprocs:scale.E.nprocs
+          ~stats:(fun s -> msgs := Ace_engine.Stats.get s "net.messages")
+          (module Ace_apps.Water) (E.water_cfg scale 2)
+      in
+      Alcotest.(check string)
+        (name ^ " seconds") seconds
+        (Printf.sprintf "%.17g" out.Driver.seconds);
+      Alcotest.(check (float 0.)) (name ^ " messages") messages !msgs)
+    water_schedules
+
 let () =
   Alcotest.run "conformance"
     [
@@ -366,5 +396,7 @@ let () =
         [
           Alcotest.test_case "five-benchmark seed matrix" `Slow
             benchmarks_schedule_independent;
+          Alcotest.test_case "water schedules pinned" `Quick
+            water_schedules_pinned;
         ] );
     ]

@@ -18,7 +18,7 @@ let eq_ordering () =
   push 3. "c";
   push 1. "a";
   push 2. "b";
-  Eq.drain q (fun _ f -> f ());
+  Eq.drain q;
   Alcotest.(check (list string)) "timestamp order" [ "a"; "b"; "c" ]
     (List.rev !out)
 
@@ -45,7 +45,7 @@ let eq_drain_allows_reentrant_push () =
   in
   Eq.push q ~time:1. (fun () -> step 0 1.);
   Eq.push q ~time:4. (fun () -> out := (4., 100) :: !out);
-  Eq.drain q (fun _ f -> f ());
+  Eq.drain q;
   Alcotest.(check (list (pair (float 0.) int)))
     "interleaved by time"
     [ (1., 0); (3., 1); (4., 100); (5., 2); (7., 3); (9., 4); (11., 5) ]
@@ -80,61 +80,171 @@ let eq_heap_property =
       in
       drain neg_infinity)
 
-(* Random interleaved push/pop sequences against a sorted-list reference
-   model: every pop must return the pending event with the least
-   (time, push-index) — i.e. timestamp order with FIFO tie-break — through
-   arbitrary grow/shrink patterns of the 4-ary heap. Times are drawn from a
-   tiny grid so ties are common. *)
+(* Pops and pushes that join a run are allocation-free: 100k of each,
+   interleaved and then drained, move [Gc.minor_words] by nothing. The time
+   is a constant, so the call itself boxes nothing either. *)
+let eq_pop_and_append_allocate_nothing () =
+  let q = Eq.create () in
+  let f () = () in
+  let time = 5. in
+  let n = 100_000 in
+  let round () =
+    Eq.push q ~time f;
+    for _ = 1 to n do
+      Eq.push q ~time f;
+      ignore (Eq.pop_min q)
+    done;
+    for _ = 1 to n do
+      Eq.push q ~time f
+    done;
+    while Eq.pop_min q do
+      ()
+    done;
+    for _ = 1 to n do
+      Eq.push q ~time f
+    done;
+    Eq.drain q
+  in
+  round () (* grow the slots once *);
+  let before = Gc.minor_words () in
+  round ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
+(* Random interleavings of pushes, same-timestamp bursts, pops, claimed
+   orders (taken in place when next, pushed otherwise) and events whose
+   thunk re-enters the queue at its own popped time, under every policy.
+   Keys depend only on push order, so pushing the same timestamps into a
+   fresh queue and draining it gives the total order (the oracle, itself
+   cross-checked against (time, key, push index) for Fifo and Rotate):
+   every pop and every in-place take must be the least pending event under
+   it, and a claim must be refused whenever a pending event precedes it.
+   Times come from a tiny grid so ties are common. *)
+type eq_op = Push of int | Burst of int | Pop | Claim of int | Reenter of int
+
+let eq_op_to_string = function
+  | Push t -> Printf.sprintf "push %d" t
+  | Burst t -> Printf.sprintf "burst %d" t
+  | Pop -> "pop"
+  | Claim t -> Printf.sprintf "claim %d" t
+  | Reenter t -> Printf.sprintf "reenter %d" t
+
+let eq_case =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map (fun t -> Push t) (int_bound 7));
+        (1, map (fun t -> Burst t) (int_bound 7));
+        (4, return Pop);
+        (2, map (fun t -> Claim t) (int_bound 7));
+        (1, map (fun t -> Reenter t) (int_bound 7));
+      ]
+  in
+  let policy =
+    oneof
+      [
+        return Eq.Fifo;
+        map (fun s -> Eq.Random s) small_nat;
+        int_range 2 5 >>= fun stride ->
+        map (fun offset -> Eq.Rotate { stride; offset }) (int_bound (stride - 1));
+      ]
+  in
+  QCheck.make
+    ~print:(fun (pol, ops) ->
+      Eq.policy_to_string pol ^ ": "
+      ^ String.concat "; " (List.map eq_op_to_string ops))
+    (pair policy (list_size (int_bound 300) op))
+
 let eq_model_property =
   QCheck.Test.make ~name:"interleaved push/pop matches sorted-list model"
-    ~count:500
-    QCheck.(list (option (int_bound 7)))
-    (fun ops ->
-      let q = Eq.create () in
-      let model = ref [] (* sorted (time, k) ascending *) in
-      let k = ref 0 in
-      let insert tm =
-        let entry = (tm, !k) in
-        let rec ins = function
-          | [] -> [ entry ]
-          | e :: rest -> if entry < e then entry :: e :: rest else e :: ins rest
-        in
-        model := ins !model
-      in
+    ~count:500 eq_case
+    (fun (policy, ops) ->
+      let q = Eq.create ~policy () in
+      let times = Hashtbl.create 64 (* push index -> time *) in
+      let n = ref 0 in
+      let pending = ref [] in
+      (* (i, others, first): event i precedes every event in [others] iff
+         [first] *)
+      let claims = ref [] in
+      let ran = ref (-1) in
       let ok = ref true in
-      let popped = ref [] in
-      (* pop once and compare (time, push-index) — carried by the thunk —
-         against the model's head *)
-      let check_pop expected =
-        if not (Eq.pop_min q) then ok := false
-        else begin
-          Eq.popped_thunk q ();
-          match !popped with
-          | got :: _ ->
-              if got <> expected then ok := false;
-              if Eq.popped_time q <> fst expected then ok := false
-          | [] -> ok := false
-        end
+      let fresh tm =
+        let i = !n in
+        incr n;
+        Hashtbl.replace times i tm;
+        i
+      in
+      let rec push tm ~reenter =
+        let i = fresh tm in
+        pending := i :: !pending;
+        Eq.push q ~time:(float_of_int tm) (fun () -> run i ~reenter)
+      and run i ~reenter =
+        if not (List.mem i !pending) then ok := false;
+        pending := List.filter (( <> ) i) !pending;
+        claims := (i, !pending, true) :: !claims;
+        ran := i;
+        if reenter then push (Hashtbl.find times i) ~reenter:false
       in
       List.iter
-        (fun op ->
-          match op with
-          | Some t ->
-              let tm = float_of_int t in
-              let idx = !k in
-              Eq.push q ~time:tm (fun () -> popped := (tm, idx) :: !popped);
-              insert tm;
-              incr k
-          | None -> (
-              match !model with
-              | [] -> if Eq.pop_min q then ok := false
-              | expected :: rest ->
-                  model := rest;
-                  check_pop expected))
+        (function
+          | Push t -> push t ~reenter:false
+          | Reenter t -> push t ~reenter:true
+          | Burst t ->
+              for _ = 1 to 4 do
+                push t ~reenter:false
+              done
+          | Pop ->
+              if Eq.pop_min q then begin
+                Eq.popped_thunk q ();
+                if Eq.popped_time q <> float_of_int (Hashtbl.find times !ran)
+                then ok := false
+              end
+              else if !pending <> [] then ok := false
+          | Claim t ->
+              let order = Eq.claim q in
+              let i = fresh t in
+              let time = float_of_int t in
+              let first = Eq.take_if_next q ~time ~order in
+              claims := (i, !pending, first) :: !claims;
+              if not first then begin
+                pending := i :: !pending;
+                Eq.push_claimed q ~time ~order (fun () -> run i ~reenter:false)
+              end)
         ops;
-      (* drain the remainder; it must replay the model exactly *)
-      List.iter check_pop !model;
-      if Eq.pop_min q then ok := false;
+      Eq.drain q;
+      if !pending <> [] || not (Eq.is_empty q) || Eq.length q <> 0 then
+        ok := false;
+      (* the oracle *)
+      let o = Eq.create ~policy () in
+      let order = ref [] in
+      for i = 0 to !n - 1 do
+        Eq.push o ~time:(float_of_int (Hashtbl.find times i)) (fun () ->
+            order := i :: !order)
+      done;
+      Eq.drain o;
+      let order = List.rev !order in
+      let key i =
+        match policy with
+        | Eq.Fifo | Eq.Random _ -> 0
+        | Eq.Rotate { stride; offset } -> if i mod stride = offset then 1 else 0
+      in
+      let by_key =
+        List.sort compare
+          (List.init !n (fun i -> (Hashtbl.find times i, key i, i)))
+      in
+      (match policy with
+      | Eq.Random _ ->
+          if List.sort compare order <> List.init !n Fun.id then ok := false
+      | Eq.Fifo | Eq.Rotate _ ->
+          if order <> List.map (fun (_, _, i) -> i) by_key then ok := false);
+      let rank = Array.make !n 0 in
+      List.iteri (fun r i -> rank.(i) <- r) order;
+      List.iter
+        (fun (i, others, first) ->
+          if List.for_all (fun j -> rank.(i) < rank.(j)) others <> first then
+            ok := false)
+        !claims;
       !ok)
 
 (* ---- ivar ---- *)
@@ -203,9 +313,18 @@ let rng_shuffle_permutation =
 
 let machine_advance_and_time () =
   let m = Machine.create ~nprocs:2 () in
+  let seen = ref [] in
   Machine.run m (fun p ->
-      Machine.advance p (float_of_int ((10 * p.Machine.id) + 10)));
-  check "time is max clock" true (Machine.time m = 20.)
+      Machine.advance p (float_of_int ((10 * p.Machine.id) + 10));
+      seen := Machine.time m :: !seen);
+  check "time is max clock" true (Machine.time m = 20.);
+  check "time mid-run is the latest event" true (!seen = [ 20.; 10. ]);
+  (* a lone fiber's advances run in place: they still count as events *)
+  let m = Machine.create ~nprocs:1 () in
+  Machine.run m (fun p ->
+      Machine.advance p 7.;
+      seen := [ Machine.time m ]);
+  check "time mid-run after an in-place advance" true (!seen = [ 7. ])
 
 let machine_barrier_sync () =
   let m = Machine.create ~nprocs:4 () in
@@ -276,6 +395,43 @@ let machine_rejects_negative_advance () =
   (try Machine.run m (fun p -> Machine.advance p (-1.))
    with Invalid_argument _ -> raised := true);
   check "negative advance rejected" true !raised
+
+(* Fiber operations called anywhere but the processor's own running fiber
+   are refused by name, whether or not an event is queued ahead (with none,
+   an in-place advance would otherwise move the clock silently). *)
+let machine_misplaced_fiber_ops () =
+  let refused what run =
+    match run () with
+    | () -> Alcotest.failf "%s: no error" what
+    | exception Invalid_argument msg ->
+        check (what ^ ": names P0") true (Str_find.find msg "P0" >= 0);
+        check (what ^ ": says why") true (Str_find.find msg "fiber" >= 0)
+  in
+  let from_event ~ahead op () =
+    let m = Machine.create ~nprocs:1 () in
+    Machine.run m (fun p ->
+        Machine.schedule m ~time:5. (fun () -> op p);
+        if ahead then Machine.advance p 10.)
+  in
+  let iv = Ivar.create () in
+  Ivar.fill iv ~time:0. ();
+  List.iter
+    (fun (name, op) ->
+      refused (name ^ " with an event queued ahead") (from_event ~ahead:true op);
+      refused (name ^ " with an empty queue") (from_event ~ahead:false op))
+    [
+      ("advance", fun p -> Machine.advance p 1.);
+      ("await", fun p -> Machine.await p iv);
+    ];
+  refused "advance from another processor's fiber" (fun () ->
+      let m = Machine.create ~nprocs:2 () in
+      let p0 = ref None in
+      Machine.run m (fun p ->
+          if p.Machine.id = 0 then begin
+            p0 := Some p;
+            Machine.advance p 10.
+          end
+          else Machine.advance (Option.get !p0) 1.))
 
 (* Same-timestamp and barrier-release ordering, pinned as global event
    logs (proc, tag, time) on 4-processor machines. Each fixture opens with
@@ -390,6 +546,8 @@ let () =
           Alcotest.test_case "length/peek" `Quick eq_length_and_peek;
           QCheck_alcotest.to_alcotest eq_heap_property;
           QCheck_alcotest.to_alcotest eq_model_property;
+          Alcotest.test_case "pop and append allocate nothing" `Quick
+            eq_pop_and_append_allocate_nothing;
         ] );
       ( "ivar",
         [
@@ -414,6 +572,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick machine_deterministic;
           Alcotest.test_case "negative advance" `Quick
             machine_rejects_negative_advance;
+          Alcotest.test_case "misplaced advance/await" `Quick
+            machine_misplaced_fiber_ops;
           Alcotest.test_case "same-timestamp schedule order" `Quick
             machine_same_time_schedule_order;
           Alcotest.test_case "barrier last-arriver rotation" `Quick

@@ -233,7 +233,7 @@ let drain_releases_last_thunk () =
   let q = Event_queue.create () in
   let w : float array Weak.t = Weak.create 1 in
   plant q w;
-  Event_queue.drain q (fun _ thunk -> thunk ());
+  Event_queue.drain q;
   Gc.full_major ();
   check "closure graph collected after drain" true (Weak.get w 0 = None)
 
